@@ -214,24 +214,34 @@ pub fn personalized_pagerank_many_with_unified_engine(
     }
     let q_count = seed_sets.len();
     let damping = cfg.damping as f32;
-    let out_deg = graph.out_degrees();
-    let inv_deg: Vec<f32> = out_deg
+    // Only `inv_deg` stays alive: a node is dangling exactly when its
+    // inverse degree is 0, so the degree vector is not kept.
+    let inv_deg: Vec<f32> = graph
+        .out_degrees()
         .iter()
         .map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 })
         .collect();
 
-    let teleports: Vec<Vec<f32>> = seed_sets
+    // Adds a seed set's restart shares into a zeroed dense vector, in
+    // the sequential driver's order (duplicate seeds accumulate).
+    let add_seeds = |t: &mut [f32], seeds: &[u32]| {
+        let share = 1.0 / seeds.len() as f32;
+        for &s in seeds {
+            t[s as usize] += share;
+        }
+    };
+    let mut prs: Vec<Vec<f32>> = seed_sets
         .iter()
         .map(|seeds| {
-            let share = 1.0 / seeds.len() as f32;
-            let mut t = vec![0.0f32; n];
-            for &s in seeds {
-                t[s as usize] += share;
-            }
-            t
+            let mut pr = vec![0.0f32; n];
+            add_seeds(&mut pr, seeds);
+            pr
         })
         .collect();
-    let mut prs: Vec<Vec<f32>> = teleports.clone();
+    // One dense teleport vector shared by every query: filled with a
+    // query's seeds before its apply pass and zeroed right after, so
+    // the batch holds one `n`-vector instead of `Q`.
+    let mut teleport = vec![0.0f32; n];
     let mut xs: Vec<Vec<f32>> = prs
         .iter()
         .map(|pr| pr.iter().zip(&inv_deg).map(|(&p, &i)| p * i).collect())
@@ -270,15 +280,16 @@ pub fn personalized_pagerank_many_with_unified_engine(
                 // this is what keeps batched ranks bit-identical.
                 let dangling: f64 = prs[qi]
                     .par_iter()
-                    .zip(&out_deg)
-                    .filter(|(_, &d)| d == 0)
+                    .zip(&inv_deg)
+                    .filter(|(_, &i)| i == 0.0)
                     .map(|(&p, _)| f64::from(p))
                     .sum();
                 let restart = (1.0 - f64::from(damping)) + f64::from(damping) * dangling;
+                add_seeds(&mut teleport, &seed_sets[qi]);
                 let delta: f64 = prs[qi]
                     .par_iter_mut()
                     .zip(&sums[qi])
-                    .zip(&teleports[qi])
+                    .zip(&teleport)
                     .map(|((p, &s), &t)| {
                         let new = (restart as f32) * t + damping * s;
                         let d = f64::from((new - *p).abs());
@@ -286,6 +297,9 @@ pub fn personalized_pagerank_many_with_unified_engine(
                         d
                     })
                     .sum();
+                for &s in &seed_sets[qi] {
+                    teleport[s as usize] = 0.0;
+                }
                 xs[qi]
                     .par_iter_mut()
                     .zip(&prs[qi])

@@ -145,9 +145,9 @@ pub trait Backend<A: Algebra>: Send {
 
     /// One multi-query round: `ys[q] = ⊕ Aᵀ·xs[q]` for every query in
     /// the batch. The default loops over [`Backend::step`], so every
-    /// backend supports batching; dataplanes with a real column-blocked
-    /// SpMM (the PCPM pipeline) override it to scan their bin streams
-    /// once per batch. Per-query output must be bit-identical to the
+    /// backend supports batching; dataplanes with a real batched SpMM
+    /// (the PCPM pipeline) override it to scan their bin streams once
+    /// per batch. Per-query output must be bit-identical to the
     /// sequential loop.
     ///
     /// Lengths are validated by [`Engine::step_many`]; implementations
@@ -576,12 +576,15 @@ impl<A: Algebra> Engine<A> {
     /// One multi-query propagation round: `ys[q] = ⊕ Aᵀ·xs[q]` for the
     /// whole batch in a single backend pass.
     ///
-    /// On the PCPM dataplane this is a column-blocked SpMM — the destID
-    /// bin stream is scanned (and, for the delta format, varint-decoded)
-    /// **once** for the batch; other backends fall back to looping over
-    /// [`Engine::step`]-equivalent rounds. Per-query results are
-    /// bit-identical to sequential [`Engine::step`] calls either way.
-    /// The pass counts as one step in the report (one bin-stream scan);
+    /// On the PCPM dataplane this is a node-major SpMM — the destID bin
+    /// stream is scanned (and, for the delta format, varint-decoded)
+    /// **once** for the batch, each entry applied as one contiguous
+    /// `Q`-wide combine (see [`BinFormat::gather_many_from`]); a
+    /// one-query batch runs the solo round, and the scatter/gather
+    /// ablations and other backends loop over [`Engine::step`]-equivalent
+    /// rounds. Per-query results are bit-identical to sequential
+    /// [`Engine::step`] calls either way. The pass counts as one step
+    /// in the report (one bin-stream scan);
     /// [`ExecutionReport::batch_passes`] / `batch_queries` record the
     /// amortization. An empty batch is a no-op.
     pub fn step_many(
@@ -1229,18 +1232,17 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
     ) -> Result<PhaseTimings, PcpmError> {
-        // The branchy-gather ablation has no batched kernel; keep its
-        // sequential semantics rather than silently changing the
+        // The scatter and gather ablations have no batched kernel; keep
+        // their sequential semantics rather than silently changing the
         // measured code path.
-        if self.gather == GatherKind::Branchy {
+        if self.gather == GatherKind::Branchy || self.scatter == ScatterKind::CsrTraversal {
             let mut total = PhaseTimings::default();
             for (x, y) in xs.iter().zip(ys.iter_mut()) {
                 total += self.step(x, y)?;
             }
             return Ok(total);
         }
-        self.pipeline
-            .spmv_many_with(xs, ys, self.scatter, self.graph.as_deref())
+        self.pipeline.spmv_many(xs, ys)
     }
 
     fn update(

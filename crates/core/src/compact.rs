@@ -14,11 +14,15 @@
 //! [`BinFormat`](crate::format::BinFormat) axis; the build/repair logic
 //! is the shared fixed-width skeleton in [`crate::format`].
 //! [`gather_compact_branch_avoiding`] mirrors Algorithm 4 on it. The
+//! batched gather is the shared node-major one of [`crate::gather`]
+//! (one accumulator row per destination node, one row-wide combine
+//! per entry); this module supplies only the 16-bit entry decode. The
 //! engine switches when [`crate::PcpmConfig::bin_format`] selects
-//! [`BinFormatKind::Compact`](crate::format::BinFormatKind) and the
-//! partition size permits.
+//! [`BinFormatKind::Compact`](crate::format::BinFormatKind) and
+//! the partition size permits.
 
 use crate::format::{BinFormat, BinScalar, CompactFormat};
+use crate::gather::{did_segment, SegmentEntries};
 use crate::kernel::{prefetch, KernelKind};
 use crate::partition::split_by_lens;
 use crate::png::{EdgeView, Png};
@@ -179,74 +183,33 @@ pub fn gather_compact_algebra<A: crate::algebra::Algebra>(
     });
 }
 
-/// Multi-query gather over compact bins: the 16-bit destID stream is
-/// decoded once per batch and each entry applied to every query's
-/// accumulator (see [`crate::gather::gather_algebra_many`] for the
-/// contract; per-query output is bit-identical to
-/// [`gather_compact_algebra`]).
-pub fn gather_compact_algebra_many<A: crate::algebra::Algebra>(
-    png: &Png,
-    bins: &CompactBinSpace<A::T>,
-    updates: &[&[A::T]],
-    ys: &mut [&mut [A::T]],
-    kernel: KernelKind,
-) {
-    assert_eq!(updates.len(), ys.len(), "one update stream per output");
-    for y in ys.iter() {
-        assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
+/// Compact entry decode for the node-major batched gather: the 15-bit
+/// payload is already the partition-local offset.
+impl<T: BinScalar> SegmentEntries for CompactBinSpace<T> {
+    fn weight_stream(&self) -> Option<&[f32]> {
+        self.weights.as_deref()
     }
-    let lens = png.dst_parts().lens();
-    let per_part = crate::gather::split_queries_by_parts(ys, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    per_part
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(p, mut ys_q)| {
-            for ys in ys_q.iter_mut() {
-                ys.fill(A::identity());
-            }
-            for s in 0..k_src {
-                let part = png.part(s);
-                let ubase = png.upd_region()[s as usize] as usize;
-                let dbase = png.did_region()[s as usize] as usize;
-                let ulo = ubase + part.upd_off[p] as usize;
-                let dlo = dbase + part.did_off[p] as usize;
-                let dhi = dbase + part.did_off[p + 1] as usize;
-                let ds = &bins.dest_ids[dlo..dhi];
-                if unrolled && s + 1 < k_src {
-                    let np = png.part(s + 1);
-                    let nb = png.did_region()[s as usize + 1] as usize;
-                    prefetch(&bins.dest_ids[nb + np.did_off[p] as usize..]);
-                }
-                match &bins.weights {
-                    None => {
-                        let mut up = usize::MAX;
-                        for &id in ds {
-                            up = up.wrapping_add((id >> 15) as usize);
-                            let local = (id & ID_MASK16) as usize;
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(*slot, A::extend(updates[q][ulo + up]));
-                            }
-                        }
-                    }
-                    Some(w) => {
-                        let ws = &w[dlo..dhi];
-                        let mut up = usize::MAX;
-                        for (&id, &wt) in ds.iter().zip(ws) {
-                            up = up.wrapping_add((id >> 15) as usize);
-                            let local = (id & ID_MASK16) as usize;
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot =
-                                    A::combine(*slot, A::extend_weighted(wt, updates[q][ulo + up]));
-                            }
-                        }
-                    }
-                }
-            }
-        });
+
+    fn prefetch_segment(&self, png: &Png, s: u32, p: usize) {
+        prefetch(&self.dest_ids[did_segment(png, s, p)]);
+    }
+
+    #[inline(always)]
+    fn for_each_entry(
+        &self,
+        png: &Png,
+        s: u32,
+        p: usize,
+        _kernel: KernelKind,
+        _scratch: &mut Vec<u64>,
+        mut apply: impl FnMut(usize, usize),
+    ) {
+        let mut up = usize::MAX;
+        for &id in &self.dest_ids[did_segment(png, s, p)] {
+            up = up.wrapping_add((id >> 15) as usize);
+            apply((id & ID_MASK16) as usize, up);
+        }
+    }
 }
 
 #[cfg(test)]

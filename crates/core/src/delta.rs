@@ -26,10 +26,14 @@
 //! per source partition, `seg_off` per destination bin) because segment
 //! lengths are data-dependent; the update stream and the optional weight
 //! stream reuse the shared layouts, so scatter and weighted gather are
-//! unchanged.
+//! unchanged. The batched gather is the shared node-major one of
+//! [`crate::gather`]: each varint is decoded once per batch and its
+//! entry applied as one contiguous row-wide combine into the
+//! partition's node-major accumulator.
 
 use crate::algebra::Algebra;
 use crate::format::{build_weight_stream, repair_weight_stream, BinScalar, DestCursor};
+use crate::gather::SegmentEntries;
 use crate::kernel::{prefetch, KernelKind};
 use crate::partition::split_by_lens;
 use crate::png::{for_each_run, EdgeView, Png};
@@ -595,122 +599,52 @@ pub fn gather_delta_algebra<A: Algebra>(
     });
 }
 
-/// Multi-query gather over delta bins: each varint is decoded **once**
-/// per batch and the resulting `(update pointer, local offset)` pair is
-/// applied to every query's accumulator — the whole point of the SpMM
-/// path for this format, since the per-edge LEB128 decode is its gather
-/// cost. `updates[q]` must share the `png_scatter` layout; per-query
-/// output is bit-identical to [`gather_delta_algebra`].
-pub fn gather_delta_algebra_many<A: Algebra>(
-    png: &Png,
-    bins: &DeltaPackedBins<A::T>,
-    updates: &[&[A::T]],
-    ys: &mut [&mut [A::T]],
-    kernel: KernelKind,
-) {
-    assert_eq!(updates.len(), ys.len(), "one update stream per output");
-    for y in ys.iter() {
-        assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
+/// Delta entry decode for the node-major batched gather: each varint
+/// is decoded **once** per batch, the per-edge LEB128 decode being this
+/// format's gather cost. [`KernelKind::Unrolled`] decodes the segment
+/// into `scratch` first ([`decode_segment_into`]); any other value
+/// decodes inline with [`read_varint`]. Both yield the same entries.
+impl<T: BinScalar> SegmentEntries for DeltaPackedBins<T> {
+    fn weight_stream(&self) -> Option<&[f32]> {
+        self.weights.as_deref()
     }
-    let lens = png.dst_parts().lens();
-    let per_part = crate::gather::split_queries_by_parts(ys, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    per_part
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(p, mut ys_q)| {
-            for ys in ys_q.iter_mut() {
-                ys.fill(A::identity());
+
+    fn prefetch_segment(&self, _png: &Png, s: u32, p: usize) {
+        prefetch(self.segment(s as usize, p));
+    }
+
+    #[inline(always)]
+    fn for_each_entry(
+        &self,
+        _png: &Png,
+        s: u32,
+        p: usize,
+        kernel: KernelKind,
+        scratch: &mut Vec<u64>,
+        mut apply: impl FnMut(usize, usize),
+    ) {
+        let bytes = self.segment(s as usize, p);
+        let mut up = usize::MAX;
+        let mut local = 0usize;
+        // LSB = message start: advances the update pointer and resets
+        // the local offset; otherwise the payload is the gap to the
+        // previous destination.
+        let mut entry = |v: u64| {
+            up = up.wrapping_add((v & 1) as usize);
+            let d = (v >> 1) as usize;
+            local = if v & 1 == 1 { d } else { local + d };
+            apply(local, up);
+        };
+        if kernel == KernelKind::Unrolled {
+            decode_segment_into(bytes, scratch);
+            scratch.iter().for_each(|&v| entry(v));
+        } else {
+            let mut pos = 0usize;
+            while pos < bytes.len() {
+                entry(read_varint(bytes, &mut pos));
             }
-            let mut scratch: Vec<u64> = Vec::new();
-            for s in 0..k_src {
-                let su = s as usize;
-                let part = png.part(s);
-                let ubase = png.upd_region()[su] as usize;
-                let ulo = ubase + part.upd_off[p] as usize;
-                let bytes = bins.segment(su, p);
-                if unrolled && s + 1 < k_src {
-                    prefetch(bins.segment(su + 1, p));
-                }
-                match &bins.weights {
-                    None if unrolled => {
-                        decode_segment_into(bytes, &mut scratch);
-                        let mut up = usize::MAX;
-                        let mut local = 0usize;
-                        for &v in scratch.iter() {
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(*slot, A::extend(updates[q][ulo + up]));
-                            }
-                        }
-                    }
-                    None => {
-                        let mut up = usize::MAX;
-                        let mut local = 0usize;
-                        let mut pos = 0usize;
-                        while pos < bytes.len() {
-                            let v = read_varint(bytes, &mut pos);
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(*slot, A::extend(updates[q][ulo + up]));
-                            }
-                        }
-                    }
-                    Some(w) if unrolled => {
-                        let dbase = png.did_region()[su] as usize;
-                        let dlo = dbase + part.did_off[p] as usize;
-                        let dhi = dbase + part.did_off[p + 1] as usize;
-                        let ws = &w[dlo..dhi];
-                        decode_segment_into(bytes, &mut scratch);
-                        let mut up = usize::MAX;
-                        let mut local = 0usize;
-                        for (edge, &v) in scratch.iter().enumerate() {
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(
-                                    *slot,
-                                    A::extend_weighted(ws[edge], updates[q][ulo + up]),
-                                );
-                            }
-                        }
-                    }
-                    Some(w) => {
-                        let dbase = png.did_region()[su] as usize;
-                        let dlo = dbase + part.did_off[p] as usize;
-                        let dhi = dbase + part.did_off[p + 1] as usize;
-                        let ws = &w[dlo..dhi];
-                        let mut up = usize::MAX;
-                        let mut local = 0usize;
-                        let mut pos = 0usize;
-                        let mut edge = 0usize;
-                        while pos < bytes.len() {
-                            let v = read_varint(bytes, &mut pos);
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(
-                                    *slot,
-                                    A::extend_weighted(ws[edge], updates[q][ulo + up]),
-                                );
-                            }
-                            edge += 1;
-                        }
-                    }
-                }
-            }
-        });
+        }
+    }
 }
 
 #[cfg(test)]

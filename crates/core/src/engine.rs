@@ -22,11 +22,12 @@ use crate::error::PcpmError;
 use crate::format::{
     dest_compression, BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat,
 };
+use crate::gather::batch_lanes;
 use crate::kernel::KernelKind;
 use crate::partition::Partitioner;
 use crate::png::{EdgeView, Png};
 use crate::pr::PhaseTimings;
-use crate::scatter::csr_scatter;
+use crate::scatter::{csr_scatter, png_scatter_many};
 use crate::update::RepairStats;
 use pcpm_graph::Csr;
 use std::time::Duration;
@@ -345,27 +346,30 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         })
     }
 
-    /// One column-blocked SpMM round: `ys[q] = ⊕ Aᵀ·xs[q]` for every
-    /// query in the batch, scanning the destination-ID stream **once**.
+    /// One batched SpMM round: `ys[j] = ⊕ Aᵀ·xs[j]` for every query in
+    /// the batch, scanning the destination-ID stream **once**.
     ///
-    /// The scatter writes one update stream per query (the layout is
-    /// format-independent); the gather decodes each bin segment once and
-    /// applies every entry to all `Q` accumulators, so the destID bytes
-    /// — and, for the delta format, the per-edge varint decode — are
-    /// amortized across the batch. Per-query output is bit-identical to
-    /// `Q` sequential [`FormatPipeline::spmv_with`] calls. The branchy
-    /// gather ablation has no batched kernel; callers route it through
-    /// the sequential path.
-    pub fn spmv_many_with(
+    /// The scatter writes one node-major update stream for the whole
+    /// batch ([`png_scatter_many`]: each compressed edge's `Q` updates
+    /// side by side in a row of [`batch_lanes`]`(Q)` slots); the gather
+    /// decodes each bin segment once and applies every entry as one
+    /// contiguous row-wide combine into a per-partition accumulator
+    /// ([`BinFormat::gather_many_from`]), so the destID bytes — and,
+    /// for the delta format, the per-edge varint decode — are amortized
+    /// across the batch. A one-query batch runs the solo
+    /// [`FormatPipeline::spmv_with`] round instead (the bins' own update
+    /// stream, no batch scratch). Per-query output is bit-identical to
+    /// `Q` sequential solo rounds. The scatter and gather ablations have
+    /// no batched kernel; callers route them through the sequential
+    /// path.
+    pub fn spmv_many(
         &mut self,
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
-        scatter: ScatterKind,
-        graph: Option<&Csr>,
     ) -> Result<PhaseTimings, PcpmError> {
         if xs.len() != ys.len() {
             return Err(PcpmError::BadConfig(
-                "spmv_many_with requires one output vector per input vector",
+                "spmv_many requires one output vector per input vector",
             ));
         }
         for x in xs {
@@ -384,34 +388,25 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
                 });
             }
         }
-        if xs.is_empty() {
-            return Ok(PhaseTimings::default());
+        match (xs, &mut *ys) {
+            ([], _) => return Ok(PhaseTimings::default()),
+            ([x], [y]) => {
+                return self.spmv_with(x, y, ScatterKind::Png, GatherKind::BranchAvoiding, None)
+            }
+            _ => {}
         }
-        let ne = self.png.num_compressed_edges() as usize;
+        let lanes = batch_lanes(xs.len());
         let t0 = crate::telemetry::stopwatch();
-        // One scratch update stream per query, all in png_scatter's
-        // layout (the bins' own update stream stays untouched).
-        let mut multi: Vec<Vec<A::T>> = xs.iter().map(|_| vec![A::T::default(); ne]).collect();
+        let mut upd = vec![A::T::default(); self.png.num_compressed_edges() as usize * lanes];
         {
             let _span = crate::telemetry::span("scatter_many");
-            for (x, upd) in xs.iter().zip(multi.iter_mut()) {
-                match scatter {
-                    ScatterKind::Png => crate::scatter::png_scatter(&self.png, x, upd),
-                    ScatterKind::CsrTraversal => {
-                        let g = graph.ok_or(PcpmError::BadConfig(
-                            "CsrTraversal scatter requires the original graph",
-                        ))?;
-                        csr_scatter(EdgeView::from_csr(g), &self.png, x, upd);
-                    }
-                }
-            }
+            png_scatter_many(&self.png, xs, lanes, &mut upd);
         }
         let scatter_t = t0.elapsed();
         let t1 = crate::telemetry::stopwatch();
         {
             let _span = crate::telemetry::span("gather_many");
-            let upd_refs: Vec<&[A::T]> = multi.iter().map(|v| v.as_slice()).collect();
-            F::gather_many_from::<A>(&self.png, &self.bins, &upd_refs, ys, self.kernel);
+            F::gather_many_from::<A>(&self.png, &self.bins, &upd, lanes, ys, self.kernel);
         }
         let gather_t = t1.elapsed();
         // The batched pass scans the destID stream (and decodes delta
@@ -650,16 +645,13 @@ impl<A: Algebra> PcpmPipeline<A> {
         with_pipeline_mut!(self, p => p.spmv_with(x, y, scatter, gather, graph))
     }
 
-    /// One column-blocked SpMM round — see
-    /// [`FormatPipeline::spmv_many_with`].
-    pub fn spmv_many_with(
+    /// One batched SpMM round — see [`FormatPipeline::spmv_many`].
+    pub fn spmv_many(
         &mut self,
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
-        scatter: ScatterKind,
-        graph: Option<&Csr>,
     ) -> Result<PhaseTimings, PcpmError> {
-        with_pipeline_mut!(self, p => p.spmv_many_with(xs, ys, scatter, graph))
+        with_pipeline_mut!(self, p => p.spmv_many(xs, ys))
     }
 
     /// Boxes the live variant as a [`Backend`](crate::backend::Backend)

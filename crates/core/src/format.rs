@@ -12,7 +12,8 @@
 //! - how one PNG message run is **encoded** into the destination stream
 //!   ([`BinFormat::build`] / [`BinFormat::repair`]),
 //! - how the gather **decodes** it back ([`BinFormat::gather_from`],
-//!   or entry-by-entry through a [`DestCursor`]),
+//!   the node-major batched [`BinFormat::gather_many_from`], or
+//!   entry-by-entry through a [`DestCursor`]),
 //! - how much auxiliary memory the encoding costs
 //!   ([`BinFormat::aux_memory_bytes`], [`BinFormat::dest_stream_bytes`]).
 //!
@@ -169,17 +170,29 @@ pub trait BinFormat: Send + Sync + 'static {
         kernel: KernelKind,
     );
 
-    /// One multi-query gather round (the SpMM inner loop): decodes each
-    /// destination-ID segment **once** and applies every entry to all
-    /// `Q` accumulators, so the dest-stream bytes (and, for delta, the
-    /// per-edge varint decodes) are paid once per batch. `updates[q]`
-    /// must share the layout [`BinFormat::scatter_into`] writes; each
-    /// query's output is bit-identical to a solo
-    /// [`BinFormat::gather_from`] over the same update stream.
+    /// One multi-query gather round (the SpMM inner loop), node-major.
+    ///
+    /// `upd` is the interleaved update stream of a `Q = ys.len()` query
+    /// batch ([`png_scatter_many`](crate::scatter::png_scatter_many)'s
+    /// layout: compressed edge `i` holds query `j`'s update at
+    /// `upd[i·lanes + j]`, with `lanes` =
+    /// [`batch_lanes`](crate::gather::batch_lanes)`(Q)`). Each
+    /// destination-partition worker owns one `len × lanes` accumulator;
+    /// every decoded entry applies one contiguous row of updates to one
+    /// contiguous accumulator row, and the accumulator is transposed
+    /// into `ys[j]` at the end of the partition. Each destination-ID
+    /// segment is decoded **once** per batch, so the dest-stream bytes
+    /// (and, for delta, the per-edge varint decodes) are paid once. The
+    /// combines for each (node, query) run in the solo gather's edge
+    /// order, so `ys[j]` is bit-identical to a solo
+    /// [`BinFormat::gather_from`] of query `j`. Only the entry decode
+    /// differs between formats; the accumulator, the row-wide apply and
+    /// the transpose are shared.
     fn gather_many_from<A: Algebra>(
         png: &Png,
         bins: &Self::Bins<A::T>,
-        updates: &[&[A::T]],
+        upd: &[A::T],
+        lanes: usize,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
     );
@@ -517,11 +530,12 @@ impl BinFormat for WideFormat {
     fn gather_many_from<A: Algebra>(
         png: &Png,
         bins: &BinSpace<A::T>,
-        updates: &[&[A::T]],
+        upd: &[A::T],
+        lanes: usize,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
     ) {
-        crate::gather::gather_algebra_many::<A>(png, bins, updates, ys, kernel);
+        crate::gather::gather_many_node_major::<A, _>(png, bins, upd, lanes, ys, kernel);
     }
 
     fn gather_branchy_from<A: Algebra>(
@@ -657,11 +671,12 @@ impl BinFormat for CompactFormat {
     fn gather_many_from<A: Algebra>(
         png: &Png,
         bins: &CompactBinSpace<A::T>,
-        updates: &[&[A::T]],
+        upd: &[A::T],
+        lanes: usize,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
     ) {
-        crate::compact::gather_compact_algebra_many::<A>(png, bins, updates, ys, kernel);
+        crate::gather::gather_many_node_major::<A, _>(png, bins, upd, lanes, ys, kernel);
     }
 
     fn updates_mut<T: BinScalar>(bins: &mut CompactBinSpace<T>) -> &mut [T] {
@@ -741,11 +756,12 @@ impl BinFormat for DeltaFormat {
     fn gather_many_from<A: Algebra>(
         png: &Png,
         bins: &DeltaPackedBins<A::T>,
-        updates: &[&[A::T]],
+        upd: &[A::T],
+        lanes: usize,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
     ) {
-        crate::delta::gather_delta_algebra_many::<A>(png, bins, updates, ys, kernel);
+        crate::gather::gather_many_node_major::<A, _>(png, bins, upd, lanes, ys, kernel);
     }
 
     fn updates_mut<T: BinScalar>(bins: &mut DeltaPackedBins<T>) -> &mut [T] {

@@ -17,14 +17,28 @@
 //! partial-sum slice of partition `p` exclusively, so the phase is
 //! lock-free. Updates and destination IDs are streamed segment by segment
 //! (one segment per source partition, each contiguous).
+//!
+//! The module also holds the batched (multi-query SpMM) gather every
+//! bin format shares, laid out **node-major**: the `Q` updates of a
+//! compressed edge sit side by side in one row of an interleaved
+//! stream ([`batch_lanes`] slots wide), worker `p` accumulates into one
+//! block of such rows, and each decoded entry is one contiguous
+//! row-wide combine of an update row into an accumulator row (at
+//! `Q = 16` and 4-byte scalars, two 64-byte rows per edge, where a
+//! query-major layout touches `2·Q` scattered values). The block is
+//! transposed into the `Q` outputs at the end of the partition. A
+//! format contributes only its entry decode, through the crate-internal
+//! `SegmentEntries` trait; the wide decode lives here.
 
 use crate::algebra::Algebra;
 use crate::bins::BinSpace;
+use crate::format::BinScalar;
 use crate::kernel::{prefetch, KernelKind};
 use crate::partition::split_by_lens;
 use crate::png::Png;
 use crate::ID_MASK;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Algorithm 4 over the `(+, ×)` semiring: branch-avoiding gather.
 /// Accumulates all messages into `y` (which is zeroed first). `y.len()`
@@ -70,13 +84,10 @@ pub fn gather_algebra_branchy<A: Algebra>(png: &Png, bins: &BinSpace<A::T>, y: &
 }
 
 /// Splits each of the `Q` output vectors by destination-partition `lens`
-/// and transposes the result: `out[p][q]` is query `q`'s slice of
-/// partition `p`. Shared by every format's multi-query gather so worker
-/// `p` owns its region of *all* `Q` outputs in fully safe code.
-pub(crate) fn split_queries_by_parts<'a, T>(
-    ys: &'a mut [&mut [T]],
-    lens: &[usize],
-) -> Vec<Vec<&'a mut [T]>> {
+/// and transposes the result: `out[p][j]` is query `j`'s slice of
+/// partition `p`. Worker `p` of the batched gather thereby owns its
+/// region of *all* `Q` outputs in fully safe code.
+fn split_queries_by_parts<'a, T>(ys: &'a mut [&mut [T]], lens: &[usize]) -> Vec<Vec<&'a mut [T]>> {
     let mut per_part: Vec<Vec<&'a mut [T]>> =
         lens.iter().map(|_| Vec::with_capacity(ys.len())).collect();
     for y in ys.iter_mut() {
@@ -87,79 +98,208 @@ pub(crate) fn split_queries_by_parts<'a, T>(
     per_part
 }
 
-/// Multi-query branch-avoiding gather (the SpMM inner loop): one pass
-/// over the MSB-demarcated destID stream applies each decoded entry to
-/// every query's accumulator, so the bin-stream bytes are read once per
-/// batch instead of once per query. `updates[q]` must share the layout
-/// `png_scatter` produces; each query's output is bit-identical to a
-/// solo [`gather_algebra`] over the same update stream.
-pub fn gather_algebra_many<A: Algebra>(
+/// Raw-edge range of segment `(s, p)`: its slice of the fixed-width
+/// destID streams and of every format's weight stream (one unit per
+/// raw edge).
+pub(crate) fn did_segment(png: &Png, s: u32, p: usize) -> Range<usize> {
+    let part = png.part(s);
+    let base = png.did_region()[s as usize];
+    (base + part.did_off[p]) as usize..(base + part.did_off[p + 1]) as usize
+}
+
+/// How one bin format walks a `(source partition, destination
+/// partition)` segment for the batched gather. This is the only part of
+/// [`gather_many_node_major`] that differs between formats.
+pub(crate) trait SegmentEntries: Sync {
+    /// The per-edge weight stream (raw-edge bin order), if weighted.
+    fn weight_stream(&self) -> Option<&[f32]>;
+
+    /// Touches the head of segment `(s, p)` (the unrolled kernel's
+    /// next-segment prefetch).
+    fn prefetch_segment(&self, png: &Png, s: u32, p: usize);
+
+    /// Decodes segment `(s, p)` in bin order, calling `apply(local, up)`
+    /// once per raw edge: `local` is the destination's offset inside
+    /// partition `p`, `up` the segment-local index of its message's
+    /// update. `scratch` is the worker's reusable decode buffer.
+    fn for_each_entry(
+        &self,
+        png: &Png,
+        s: u32,
+        p: usize,
+        kernel: KernelKind,
+        scratch: &mut Vec<u64>,
+        apply: impl FnMut(usize, usize),
+    );
+}
+
+/// Lanes per row of the batched update stream and accumulator for a
+/// `q`-query batch: `q` rounded up to the next kernel width (1, 2, 4,
+/// 8 or 16) for batches of up to 16 queries, `q` itself above that.
+/// The pad lanes hold default values and are never read back.
+pub fn batch_lanes(q: usize) -> usize {
+    if q <= 16 {
+        q.next_power_of_two()
+    } else {
+        q
+    }
+}
+
+/// One lane of the apply: `a ⊕ extend(u)`, weighted when `weight` is
+/// set.
+#[inline(always)]
+fn lane<A: Algebra>(a: A::T, u: A::T, weight: Option<f32>) -> A::T {
+    let c = match weight {
+        None => A::extend(u),
+        Some(w) => A::extend_weighted(w, u),
+    };
+    A::combine(a, c)
+}
+
+/// The `Q`-wide apply of one decoded entry, `acc[j] ⊕= extend(upd[j])`
+/// over two contiguous rows of `W` lanes (`W = 0`: a runtime row
+/// length). From 4 lanes up, the whole update row is loaded before the
+/// accumulator row is stored, so the compiler emits whole vector
+/// operations without having to prove the two rows disjoint; narrower
+/// and runtime-length rows take the plain lane loop.
+#[inline(always)]
+fn combine_row<A: Algebra, const W: usize>(acc: &mut [A::T], upd: &[A::T], weight: Option<f32>) {
+    if W <= 2 {
+        for (a, &u) in acc.iter_mut().zip(upd) {
+            *a = lane::<A>(*a, u, weight);
+        }
+    } else {
+        let u: [A::T; W] = upd[..W].try_into().expect("update row");
+        let a: &mut [A::T; W] = (&mut acc[..W]).try_into().expect("accumulator row");
+        *a = std::array::from_fn(|k| lane::<A>(a[k], u[k], weight));
+    }
+}
+
+/// The node-major batched gather (the SpMM inner loop) shared by every
+/// bin format.
+///
+/// `upd` is the interleaved update stream
+/// [`png_scatter_many`](crate::scatter::png_scatter_many) writes:
+/// compressed edge `i` holds query `j`'s value at `upd[i·lanes + j]`,
+/// with `lanes` = [`batch_lanes`]`(ys.len())`. Worker `p` owns one
+/// `len(p) × lanes` accumulator. Each decoded entry does one contiguous
+/// `lanes`-wide combine from an update row into an accumulator row, so
+/// an edge touches two contiguous rows instead of `2·Q` scattered
+/// values. At the end of the partition the accumulator is transposed
+/// into `ys[j]`. The combines for each (node, query) run in the solo
+/// gather's edge order, so each `ys[j]` is bit-identical to a solo
+/// gather of query `j`.
+pub(crate) fn gather_many_node_major<A: Algebra, B: SegmentEntries>(
     png: &Png,
-    bins: &BinSpace<A::T>,
-    updates: &[&[A::T]],
+    bins: &B,
+    upd: &[A::T],
+    lanes: usize,
     ys: &mut [&mut [A::T]],
     kernel: KernelKind,
 ) {
-    assert_eq!(updates.len(), ys.len(), "one update stream per output");
+    assert_eq!(lanes, batch_lanes(ys.len()), "lanes per batch row");
+    assert_eq!(
+        upd.len() as u64,
+        png.num_compressed_edges() * lanes as u64,
+        "updates length"
+    );
     for y in ys.iter() {
         assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
     }
+    match lanes {
+        _ if ys.is_empty() => {}
+        2 => gather_many_lanes::<A, B, 2>(png, bins, upd, 2, ys, kernel),
+        4 => gather_many_lanes::<A, B, 4>(png, bins, upd, 4, ys, kernel),
+        8 => gather_many_lanes::<A, B, 8>(png, bins, upd, 8, ys, kernel),
+        16 => gather_many_lanes::<A, B, 16>(png, bins, upd, 16, ys, kernel),
+        _ => gather_many_lanes::<A, B, 0>(png, bins, upd, lanes, ys, kernel),
+    }
+}
+
+/// [`gather_many_node_major`] at a row width of `W` lanes (`W = 0`:
+/// `lanes`, known only at run time).
+fn gather_many_lanes<A: Algebra, B: SegmentEntries, const W: usize>(
+    png: &Png,
+    bins: &B,
+    upd: &[A::T],
+    lanes: usize,
+    ys: &mut [&mut [A::T]],
+    kernel: KernelKind,
+) {
     let lens = png.dst_parts().lens();
     let per_part = split_queries_by_parts(ys, &lens);
     let k_src = png.src_parts().num_partitions();
     let unrolled = kernel == KernelKind::Unrolled;
+    let weights = bins.weight_stream();
     per_part
         .into_par_iter()
         .enumerate()
-        .for_each(|(p, mut ys_q)| {
-            for ys in ys_q.iter_mut() {
-                ys.fill(A::identity());
-            }
-            let base = png.dst_parts().range(p as u32).start as usize;
+        .for_each(|(p, mut outs)| {
+            // A constant inside the worker, so the fixed-width rows
+            // compile to straight-line vector code.
+            let l = if W == 0 { lanes } else { W };
+            let mut acc = vec![A::identity(); lens[p] * l];
+            let mut scratch: Vec<u64> = Vec::new();
             for s in 0..k_src {
                 let part = png.part(s);
                 let ubase = png.upd_region()[s as usize] as usize;
-                let dbase = png.did_region()[s as usize] as usize;
                 let ulo = ubase + part.upd_off[p] as usize;
-                let dlo = dbase + part.did_off[p] as usize;
-                let dhi = dbase + part.did_off[p + 1] as usize;
-                let ds = &bins.dest_ids[dlo..dhi];
-                // The entry loop already amortizes over Q accumulators;
-                // the unrolled kernel's win here is keeping the next
-                // segment's head in flight.
+                let uhi = ubase + part.upd_off[p + 1] as usize;
+                let us = &upd[ulo * l..uhi * l];
                 if unrolled && s + 1 < k_src {
-                    let np = png.part(s + 1);
-                    let nb = png.did_region()[s as usize + 1] as usize;
-                    prefetch(&bins.dest_ids[nb + np.did_off[p] as usize..]);
+                    bins.prefetch_segment(png, s + 1, p);
                 }
-                match &bins.weights {
-                    None => {
-                        let mut up = usize::MAX;
-                        for &id in ds {
-                            up = up.wrapping_add((id >> 31) as usize);
-                            let local = (id & ID_MASK) as usize - base;
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(*slot, A::extend(updates[q][ulo + up]));
-                            }
-                        }
-                    }
+                match weights {
+                    None => bins.for_each_entry(png, s, p, kernel, &mut scratch, |local, up| {
+                        combine_row::<A, W>(&mut acc[local * l..][..l], &us[up * l..][..l], None);
+                    }),
                     Some(w) => {
-                        let ws = &w[dlo..dhi];
-                        let mut up = usize::MAX;
-                        for (&id, &wt) in ds.iter().zip(ws) {
-                            up = up.wrapping_add((id >> 31) as usize);
-                            let local = (id & ID_MASK) as usize - base;
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot =
-                                    A::combine(*slot, A::extend_weighted(wt, updates[q][ulo + up]));
-                            }
-                        }
+                        let ws = &w[did_segment(png, s, p)];
+                        let mut edge = 0usize;
+                        bins.for_each_entry(png, s, p, kernel, &mut scratch, |local, up| {
+                            let wt = Some(ws[edge]);
+                            combine_row::<A, W>(&mut acc[local * l..][..l], &us[up * l..][..l], wt);
+                            edge += 1;
+                        });
                     }
                 }
             }
+            for (local, row) in acc.chunks_exact(l).enumerate() {
+                for (y, &v) in outs.iter_mut().zip(row) {
+                    y[local] = v;
+                }
+            }
         });
+}
+
+/// Wide entry decode for the node-major batched gather: MSB-flagged
+/// global IDs, rebased to the partition.
+impl<T: BinScalar> SegmentEntries for BinSpace<T> {
+    fn weight_stream(&self) -> Option<&[f32]> {
+        self.weights.as_deref()
+    }
+
+    fn prefetch_segment(&self, png: &Png, s: u32, p: usize) {
+        prefetch(&self.dest_ids[did_segment(png, s, p)]);
+    }
+
+    #[inline(always)]
+    fn for_each_entry(
+        &self,
+        png: &Png,
+        s: u32,
+        p: usize,
+        _kernel: KernelKind,
+        _scratch: &mut Vec<u64>,
+        mut apply: impl FnMut(usize, usize),
+    ) {
+        let base = png.dst_parts().range(p as u32).start as usize;
+        let mut up = usize::MAX;
+        for &id in &self.dest_ids[did_segment(png, s, p)] {
+            up = up.wrapping_add((id >> 31) as usize);
+            apply((id & ID_MASK) as usize - base, up);
+        }
+    }
 }
 
 fn run_gather<A: Algebra>(
@@ -374,6 +514,15 @@ mod tests {
             KernelKind::Unrolled,
         );
         assert_eq!(ys, yu);
+    }
+
+    #[test]
+    fn batch_rows_round_small_batches_up_to_a_kernel_width() {
+        let lanes: Vec<usize> = [1, 2, 3, 4, 5, 8, 9, 16, 17, 40]
+            .into_iter()
+            .map(batch_lanes)
+            .collect();
+        assert_eq!(lanes, [1, 2, 4, 4, 8, 8, 16, 16, 17, 40]);
     }
 
     #[test]

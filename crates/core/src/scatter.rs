@@ -1,11 +1,13 @@
 //! PCPM scatter phase.
 //!
-//! Two implementations:
+//! Two implementations, plus the batched form of the first:
 //!
 //! - [`png_scatter`] — Algorithm 3, the paper's final design: iterate the
 //!   PNG rows of each source partition, streaming updates to one
 //!   destination bin at a time. No data-dependent branches, no unused-edge
 //!   reads, at most `k` bin switches per partition.
+//!   [`png_scatter_many`] writes the same stream for a batch of `Q`
+//!   vectors, node-major (each edge's `Q` updates side by side).
 //! - [`csr_scatter`] — Algorithm 2, the pre-PNG ablation: traverse the
 //!   original CSR, compare each neighbor's partition with the previous one
 //!   and emit an update on every partition switch. Reads all `m` edges and
@@ -48,6 +50,51 @@ pub fn png_scatter<T: Copy + Send + Sync>(png: &Png, x: &[T], updates: &mut [T])
             for &u in part.row(p) {
                 region[cur] = x[u as usize];
                 cur += 1;
+            }
+        }
+    });
+}
+
+/// Algorithm 3 for a batch of `Q = xs.len()` source vectors, written
+/// node-major: compressed edge `i` (in [`png_scatter`]'s order) holds
+/// its `Q` values side by side in one row of `lanes ≥ Q` slots,
+/// `updates[i·lanes + j] = xs[j][src(i)]`; pad slots `j ≥ Q` are left
+/// as they are. The batched gather then reads one contiguous row per
+/// message instead of `Q` scattered values. `updates.len()` must equal
+/// `lanes · png.num_compressed_edges()`.
+///
+/// # Panics
+///
+/// Panics if `updates` has the wrong length, `lanes < Q`, or any
+/// `xs[j]` is shorter than the source node count.
+pub fn png_scatter_many<T: Copy + Send + Sync>(
+    png: &Png,
+    xs: &[&[T]],
+    lanes: usize,
+    updates: &mut [T],
+) {
+    assert_eq!(
+        updates.len() as u64,
+        png.num_compressed_edges() * lanes as u64,
+        "updates length"
+    );
+    assert!(lanes >= xs.len(), "fewer lanes than queries");
+    for x in xs {
+        assert!(
+            x.len() >= png.src_parts().num_nodes() as usize,
+            "x too short"
+        );
+    }
+    if lanes == 0 {
+        return;
+    }
+    let lens: Vec<usize> = png.upd_region_lens().iter().map(|&l| l * lanes).collect();
+    let regions = split_by_lens(updates, &lens);
+    regions.into_par_iter().enumerate().for_each(|(s, region)| {
+        let part = png.part(s as u32);
+        for (&u, row) in part.sources.iter().zip(region.chunks_exact_mut(lanes)) {
+            for (slot, x) in row.iter_mut().zip(xs) {
+                *slot = x[u as usize];
             }
         }
     });
@@ -147,6 +194,31 @@ mod tests {
             png_scatter(&png, &x, &mut a);
             csr_scatter(EdgeView::from_csr(&g), &png, &x, &mut b);
             assert_eq!(a, b, "q={q}");
+        }
+    }
+
+    #[test]
+    fn png_scatter_many_interleaves_the_solo_streams() {
+        let g = pcpm_graph::gen::rmat(&pcpm_graph::gen::RmatConfig::graph500(9, 8, 33)).unwrap();
+        let n = g.num_nodes();
+        for q in [16u32, 100] {
+            let parts = Partitioner::new(n, q).unwrap();
+            let png = Png::build(EdgeView::from_csr(&g), parts, parts);
+            let ne = png.num_compressed_edges() as usize;
+            let xs: Vec<Vec<f32>> = (0..3)
+                .map(|j| (0..n).map(|v| (v as f32 + j as f32).sin()).collect())
+                .collect();
+            let refs: Vec<&[f32]> = xs.iter().map(|x| x.as_slice()).collect();
+            // Three queries in rows of four lanes: the pad lane is kept.
+            let mut many = vec![-1.0f32; ne * 4];
+            png_scatter_many(&png, &refs, 4, &mut many);
+            for (j, x) in xs.iter().enumerate() {
+                let mut solo = vec![0.0f32; ne];
+                png_scatter(&png, x, &mut solo);
+                let lane: Vec<f32> = many.chunks_exact(4).map(|row| row[j]).collect();
+                assert_eq!(lane, solo, "q={q} query {j}");
+            }
+            assert!(many.chunks_exact(4).all(|row| row[3] == -1.0), "q={q}");
         }
     }
 

@@ -57,10 +57,10 @@
 //! | --- | --- | --- |
 //! | `prepare` | PNG build + bin construction + kernel resolution | `Engine::prepare` |
 //! | `repair` | incremental PNG/bin repair after an update batch (arg: touched partitions) | `Engine::update` |
-//! | `scatter` | the PCPM scatter phase of one step | `Engine::step` |
-//! | `gather` | the PCPM gather phase of one step | `Engine::step` |
-//! | `scatter_many` | scatter across a whole query batch | `Engine::step_many` |
-//! | `gather_many` | gather across a whole query batch | `Engine::step_many` |
+//! | `scatter` | the PCPM scatter phase of one step (or of a one-query batch) | `Engine::step`, `Engine::step_many` |
+//! | `gather` | the PCPM gather phase of one step (or of a one-query batch) | `Engine::step`, `Engine::step_many` |
+//! | `scatter_many` | node-major scatter across a batch of two or more queries | `Engine::step_many` |
+//! | `gather_many` | node-major gather across a batch of two or more queries | `Engine::step_many` |
 //! | `step` | one backend-dispatched SpMV step (arg: step index) | `DynBackend::step` |
 //! | `step_many` | one backend-dispatched SpMM pass (arg: batch width) | `DynBackend::step_many` |
 //! | `update` | one mutation batch applied through the backend | `DynBackend::update` |

@@ -2,7 +2,7 @@
 //! compute the same PageRank vector as the serial f64 oracle, on
 //! arbitrary graphs and configurations (property-based).
 
-use pcpm::core::algebra::{MinLabel, MinPlusF32, PlusF32};
+use pcpm::core::algebra::{Algebra, MinLabel, MinPlusF32, PlusF32};
 use pcpm::core::engine::{GatherKind, ScatterKind};
 use pcpm::core::pagerank::{pagerank_with_variant, PcpmVariant};
 use pcpm::prelude::*;
@@ -161,6 +161,131 @@ fn step_many_matches_independent_steps_across_backends() {
     }
     let g = pcpm::graph::gen::erdos_renyi(400, 3200, 17).unwrap();
     assert_step_many_matches_steps(&g, 32 * 4);
+}
+
+/// Bit patterns, so `-0.0` vs `0.0` also counts as a difference.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Query `j`'s real-valued input vector: `sin(v·0.37 + j)`.
+fn real_input(g: &Csr, j: usize) -> Vec<f32> {
+    (0..g.num_nodes())
+        .map(|v| (v as f32 * 0.37 + j as f32).sin())
+        .collect()
+}
+
+/// `step_many` against solo `step`s on real-valued inputs, for every
+/// format, both concrete kernels and batch sizes on both sides of the
+/// unrolled kernel's width. Returns the solo outputs of the last batch.
+fn assert_order_sensitive_batches<A: Algebra<T = f32>>(
+    g: &Csr,
+    weights: Option<&EdgeWeights>,
+    label: &str,
+) -> Vec<Vec<f32>> {
+    let n = g.num_nodes() as usize;
+    let mut last = Vec::new();
+    for format in BinFormatKind::ALL {
+        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
+            // 64-node partitions: the 512-node graph has 8 destination
+            // partitions, so the per-partition accumulators and their
+            // transposes are all exercised.
+            let mut b = Engine::<A>::builder(g)
+                .partition_bytes(64 * 4)
+                .bin_format(format)
+                .kernel(kernel);
+            if let Some(w) = weights {
+                b = b.weights(w);
+            }
+            let mut engine = b.build().unwrap();
+            for q in [1usize, 2, 3, 16, 17] {
+                let xs: Vec<Vec<f32>> = (0..q).map(|j| real_input(g, j)).collect();
+                let solo: Vec<Vec<f32>> = xs
+                    .iter()
+                    .map(|x| {
+                        let mut y = vec![0.0f32; n];
+                        engine.step(x, &mut y).unwrap();
+                        y
+                    })
+                    .collect();
+                let mut batched = vec![vec![7.0f32; n]; q];
+                let x_refs: Vec<&[f32]> = xs.iter().map(|x| x.as_slice()).collect();
+                let mut y_refs: Vec<&mut [f32]> =
+                    batched.iter_mut().map(|y| y.as_mut_slice()).collect();
+                engine.step_many(&x_refs, &mut y_refs).unwrap();
+                for (j, (b, s)) in batched.iter().zip(&solo).enumerate() {
+                    assert_eq!(
+                        bits(b),
+                        bits(s),
+                        "{label} {format} {kernel} Q={q}: query {j} step_many vs solo step"
+                    );
+                }
+                last = solo;
+            }
+        }
+    }
+    last
+}
+
+/// Order-sensitive bit-identity of the batched SpMM. On real-valued
+/// inputs an f32 sum depends on its summation order, so a batched
+/// gather that reordered any (node, query) combine would fail here,
+/// unlike on the integer grid of [`assert_step_many_matches_steps`].
+#[test]
+fn step_many_is_bit_identical_on_order_sensitive_inputs() {
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 29)).unwrap();
+    let solo = assert_order_sensitive_batches::<PlusF32>(&g, None, "plus");
+    // The inputs really are order-sensitive: the same terms summed in
+    // reverse edge order land on different bits.
+    let x = real_input(&g, 16);
+    let mut reversed = vec![0.0f32; g.num_nodes() as usize];
+    for (s, t) in g.edges().collect::<Vec<_>>().into_iter().rev() {
+        reversed[t as usize] += x[s as usize];
+    }
+    assert_ne!(
+        bits(&reversed),
+        bits(&solo[16]),
+        "inputs must be order-sensitive"
+    );
+
+    let w = EdgeWeights::random(&g, 5);
+    assert_order_sensitive_batches::<PlusF32>(&g, Some(&w), "weighted plus");
+    assert_order_sensitive_batches::<MinPlusF32>(&g, Some(&w), "weighted min-plus");
+}
+
+/// Batched PPR is bit-identical to solo PPR when seed sets hold
+/// duplicates (which accumulate restart share) or several seeds, with
+/// queries freezing at different iterations under a tolerance.
+#[test]
+fn batched_ppr_matches_solo_with_duplicate_and_multiple_seeds() {
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(10, 8, 31)).unwrap();
+    let seed_sets = vec![
+        vec![3, 3, 7],
+        vec![1, 50, 200, 400, 1000],
+        vec![0],
+        vec![5, 5],
+        vec![9, 900, 9],
+    ];
+    for cfg in [
+        PcpmConfig::default().with_partition_bytes(128 * 4),
+        PcpmConfig::default()
+            .with_partition_bytes(128 * 4)
+            .with_iterations(60)
+            .with_tolerance(1e-6),
+    ] {
+        let batched = personalized_pagerank_many(&g, &seed_sets, &cfg).unwrap();
+        for (seeds, b) in seed_sets.iter().zip(&batched) {
+            let solo = personalized_pagerank(&g, seeds, &cfg).unwrap();
+            assert_eq!(bits(&b.scores), bits(&solo.scores), "seeds {seeds:?}");
+            assert_eq!(b.iterations, solo.iterations, "seeds {seeds:?}");
+            assert_eq!(b.converged, solo.converged, "seeds {seeds:?}");
+            assert_eq!(
+                b.last_delta.to_bits(),
+                solo.last_delta.to_bits(),
+                "seeds {seeds:?}"
+            );
+        }
+    }
 }
 
 #[test]
