@@ -1,24 +1,24 @@
-//! Gather-kernel sweep: scalar vs unrolled step/gather time per bin
-//! format on a seeded scale-12 RMAT graph, with the memsim predictor
-//! validated against the measured winner.
+//! Gather-kernel sweep: step and gather-phase time per bin format on a
+//! seeded scale-12 RMAT graph, beside the memsim predictor's estimate.
 //!
 //! Besides the console table, the suite emits `BENCH_kernels.json` in
 //! the working directory (seed baseline committed under
 //! `bench-baselines/`) so CI can diff kernel regressions without
-//! scraping stdout. Three invariants are asserted in-process:
+//! scraping stdout. Two invariants are asserted in-process:
 //!
-//! 1. every (format, kernel) pair produces bit-identical output on the
-//!    integer grid — the speed comparison is meaningless otherwise;
-//! 2. `KernelKind::Auto` resolves to exactly what
-//!    `pcpm_memsim::predict_kernel` predicts (they share one decision
-//!    function, so this is a wiring check);
-//! 3. on the delta format — the one where the batched branchless decode
-//!    actually changes the inner loop — the unrolled gather beats the
-//!    scalar gather by at least 1.5x, and the predicted winner is the
-//!    measured winner.
+//! 1. every format produces bit-identical output on the integer grid —
+//!    the speed comparison is meaningless otherwise;
+//! 2. `pcpm_memsim::predict_kernel` ranks the unrolled gather the
+//!    engine runs as cheaper than a scalar loop for every format at
+//!    this cache-resident point.
+//!
+//! The batched delta decode's speed floor (≥ 1.5× the inline varint
+//! loop) is asserted by the `pcpm-core` timing probe
+//! `delta::perf_probe::probe_decode_cost` at this same graph and
+//! partition size.
 
 use pcpm_core::algebra::PlusF32;
-use pcpm_core::{BinFormatKind, Engine, KernelKind, PcpmConfig};
+use pcpm_core::{BinFormatKind, Engine, PcpmConfig};
 use pcpm_graph::gen::{rmat, RmatConfig};
 use std::time::Instant;
 
@@ -31,47 +31,20 @@ const WARMUP_STEPS: usize = 5;
 const MEASURED_STEPS: usize = 30;
 /// Best-of-`REPS` measurement: each rep times `MEASURED_STEPS` steps
 /// and the minimum survives, so scheduler noise (this often runs on a
-/// single shared core) inflates neither side of the comparison.
+/// single shared core) does not inflate the row.
 const REPS: usize = 10;
-/// Acceptance floor for the batched delta decode (gather phase only).
-/// `PCPM_KERNELS_FLOOR` overrides it; `0` records the ratios without
-/// asserting them (for shared CI runners whose timing is not ours to
-/// promise — the committed baseline documents the reference machine).
-const DELTA_GATHER_SPEEDUP_FLOOR: f64 = 1.5;
-
-fn speedup_floor() -> f64 {
-    match std::env::var("PCPM_KERNELS_FLOOR") {
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("PCPM_KERNELS_FLOOR: bad float '{v}'")),
-        Err(_) => DELTA_GATHER_SPEEDUP_FLOOR,
-    }
-}
 
 struct KernelRow {
     format: BinFormatKind,
-    kernel: KernelKind,
     step_us: f64,
     gather_us: f64,
     gather_ns_per_edge: f64,
+    predicted_ns_per_edge: f64,
     dest_gbps: f64,
 }
 
-struct FormatSummary {
-    format: BinFormatKind,
-    gather_speedup: f64,
-    measured_winner: KernelKind,
-    auto_resolves_to: &'static str,
-    predicted_winner: KernelKind,
-    predicted_speedup: f64,
-}
-
-/// Gather wall-clock recorded by the engine across both kernel-variant
-/// counters (only one moves per engine, but summing both keeps the diff
-/// correct regardless of which kernel ran).
 fn gather_ns_total() -> u64 {
-    let s = pcpm_core::telemetry::counters().snapshot();
-    s.gather_scalar_ns + s.gather_unrolled_ns
+    pcpm_core::telemetry::counters().snapshot().gather_ns
 }
 
 fn main() {
@@ -82,88 +55,53 @@ fn main() {
     let x: Vec<f32> = (0..g.num_nodes()).map(|v| (v % 13) as f32).collect();
 
     let mut rows: Vec<KernelRow> = Vec::new();
-    let mut summaries: Vec<FormatSummary> = Vec::new();
     let mut reference: Option<Vec<f32>> = None;
     for format in BinFormatKind::ALL {
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            let cfg = PcpmConfig::default()
-                .with_partition_bytes(PARTITION_BYTES)
-                .with_bin_format(format)
-                .with_kernel(kernel)
-                .with_threads(1);
-            let mut engine = Engine::<PlusF32>::builder(&g)
-                .config(cfg)
-                .build()
-                .expect("engine");
-            assert_eq!(
-                engine.report().kernel,
-                Some(kernel.name()),
-                "explicit kernel must survive into the execution report"
-            );
-            let mut y = vec![0.0f32; n];
-            for _ in 0..WARMUP_STEPS {
-                engine.step(&x, &mut y).expect("warmup step");
-            }
-            let mut step_us = f64::INFINITY;
-            let mut gather_ns = f64::INFINITY;
-            for _ in 0..REPS {
-                let gather_before = gather_ns_total();
-                let t0 = Instant::now();
-                for _ in 0..MEASURED_STEPS {
-                    engine.step(&x, &mut y).expect("step");
-                }
-                step_us = step_us.min(t0.elapsed().as_secs_f64() * 1e6 / MEASURED_STEPS as f64);
-                gather_ns = gather_ns
-                    .min((gather_ns_total() - gather_before) as f64 / MEASURED_STEPS as f64);
-            }
-            // Kernel variants must be interchangeable: bit-identical
-            // output on the integer grid across every (format, kernel).
-            match &reference {
-                None => reference = Some(y.clone()),
-                Some(want) => assert_eq!(want, &y, "{format}/{kernel} diverged"),
-            }
-            rows.push(KernelRow {
-                format,
-                kernel,
-                step_us,
-                gather_us: gather_ns / 1e3,
-                gather_ns_per_edge: gather_ns / edges as f64,
-                dest_gbps: engine.report().dest_stream_gbps().unwrap_or(0.0),
-            });
-        }
-
-        let scalar = &rows[rows.len() - 2];
-        let unrolled = &rows[rows.len() - 1];
-        let gather_speedup = scalar.gather_us / unrolled.gather_us.max(f64::MIN_POSITIVE);
-        let measured_winner = if unrolled.gather_us <= scalar.gather_us {
-            KernelKind::Unrolled
-        } else {
-            KernelKind::Scalar
-        };
-        let auto = Engine::<PlusF32>::builder(&g)
-            .partition_bytes(PARTITION_BYTES)
-            .bin_format(format)
+        let cfg = PcpmConfig::default()
+            .with_partition_bytes(PARTITION_BYTES)
+            .with_bin_format(format)
+            .with_threads(1);
+        let mut engine = Engine::<PlusF32>::builder(&g)
+            .config(cfg)
             .build()
-            .expect("auto engine");
-        let auto_resolves_to = auto.report().kernel.expect("pcpm reports its kernel");
+            .expect("engine");
+        let mut y = vec![0.0f32; n];
+        for _ in 0..WARMUP_STEPS {
+            engine.step(&x, &mut y).expect("warmup step");
+        }
+        let mut step_us = f64::INFINITY;
+        let mut gather_ns = f64::INFINITY;
+        for _ in 0..REPS {
+            let gather_before = gather_ns_total();
+            let t0 = Instant::now();
+            for _ in 0..MEASURED_STEPS {
+                engine.step(&x, &mut y).expect("step");
+            }
+            step_us = step_us.min(t0.elapsed().as_secs_f64() * 1e6 / MEASURED_STEPS as f64);
+            gather_ns =
+                gather_ns.min((gather_ns_total() - gather_before) as f64 / MEASURED_STEPS as f64);
+        }
+        match &reference {
+            None => reference = Some(y.clone()),
+            Some(want) => assert_eq!(want, &y, "{format} diverged from wide"),
+        }
         let p = pcpm_memsim::predict_kernel(
             u64::from(g.num_nodes()),
             edges,
             format,
             (PARTITION_BYTES / 4) as u64,
         );
-        assert_eq!(
-            auto_resolves_to,
-            p.choice.name(),
-            "{format}: Auto and the memsim predictor share resolve_auto and may never disagree"
+        assert!(
+            p.unrolled_ns_per_edge < p.scalar_ns_per_edge,
+            "{format}: memsim ranks the engine's unrolled gather behind a scalar loop"
         );
-        summaries.push(FormatSummary {
+        rows.push(KernelRow {
             format,
-            gather_speedup,
-            measured_winner,
-            auto_resolves_to,
-            predicted_winner: p.choice,
-            predicted_speedup: p.predicted_speedup(),
+            step_us,
+            gather_us: gather_ns / 1e3,
+            gather_ns_per_edge: gather_ns / edges as f64,
+            predicted_ns_per_edge: p.unrolled_ns_per_edge,
+            dest_gbps: engine.report().dest_stream_gbps().unwrap_or(0.0),
         });
     }
 
@@ -173,45 +111,18 @@ fn main() {
         g.num_nodes()
     );
     println!(
-        "{:<8} {:<9} {:>12} {:>12} {:>16} {:>10}",
-        "format", "kernel", "step(us)", "gather(us)", "gather(ns/edge)", "GB/s"
+        "{:<8} {:>12} {:>12} {:>16} {:>16} {:>10}",
+        "format", "step(us)", "gather(us)", "gather(ns/edge)", "memsim(ns/edge)", "GB/s"
     );
     for r in &rows {
         println!(
-            "{:<8} {:<9} {:>12.1} {:>12.1} {:>16.3} {:>10.2}",
-            r.format, r.kernel, r.step_us, r.gather_us, r.gather_ns_per_edge, r.dest_gbps
-        );
-    }
-    println!(
-        "{:<8} {:>24} {:>10} {:>10} {:>11} {:>15}",
-        "format", "gather scalar/unrolled", "winner", "auto", "predicted", "pred. speedup"
-    );
-    for s in &summaries {
-        println!(
-            "{:<8} {:>23.2}x {:>10} {:>10} {:>11} {:>14.2}x",
-            s.format,
-            s.gather_speedup,
-            s.measured_winner,
-            s.auto_resolves_to,
-            s.predicted_winner,
-            s.predicted_speedup
-        );
-    }
-
-    let delta = summaries
-        .iter()
-        .find(|s| s.format == BinFormatKind::Delta)
-        .expect("delta summary");
-    let floor = speedup_floor();
-    if floor > 0.0 {
-        assert!(
-            delta.gather_speedup >= floor,
-            "delta batched gather speedup {:.2}x fell below the {floor}x floor",
-            delta.gather_speedup
-        );
-        assert_eq!(
-            delta.predicted_winner, delta.measured_winner,
-            "memsim predicted the wrong delta kernel for the cache-resident scale-12 point"
+            "{:<8} {:>12.1} {:>12.1} {:>16.3} {:>16.3} {:>10.2}",
+            r.format.name(),
+            r.step_us,
+            r.gather_us,
+            r.gather_ns_per_edge,
+            r.predicted_ns_per_edge,
+            r.dest_gbps
         );
     }
 
@@ -226,32 +137,16 @@ fn main() {
     json.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"format\": \"{}\", \"kernel\": \"{}\", \"step_us\": {:.3}, \
-             \"gather_us\": {:.3}, \"gather_ns_per_edge\": {:.4}, \"dest_gbps\": {:.3}}}{}\n",
+            "    {{\"format\": \"{}\", \"step_us\": {:.3}, \"gather_us\": {:.3}, \
+             \"gather_ns_per_edge\": {:.4}, \"predicted_ns_per_edge\": {:.4}, \
+             \"dest_gbps\": {:.3}}}{}\n",
             r.format,
-            r.kernel,
             r.step_us,
             r.gather_us,
             r.gather_ns_per_edge,
+            r.predicted_ns_per_edge,
             r.dest_gbps,
             if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"summary\": [\n");
-    for (i, s) in summaries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"format\": \"{}\", \"gather_speedup_unrolled\": {:.3}, \
-             \"measured_winner\": \"{}\", \"auto_resolves_to\": \"{}\", \
-             \"predicted_winner\": \"{}\", \"predicted_speedup\": {:.3}, \
-             \"prediction_matches\": {}}}{}\n",
-            s.format,
-            s.gather_speedup,
-            s.measured_winner,
-            s.auto_resolves_to,
-            s.predicted_winner,
-            s.predicted_speedup,
-            s.predicted_winner == s.measured_winner,
-            if i + 1 == summaries.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -3,7 +3,6 @@
 //! ```text
 //! repro <exhibit> [--scale N] [--iters N] [--threads N] [--quick]
 //!                 [--format wide|compact|delta] [--cache-dir DIR]
-//!                 [--kernel auto|scalar|unrolled]
 //!
 //! `--cache-dir DIR` reuses prepared-engine snapshots across harness
 //! runs: PCPM timing engines load from `DIR` instead of re-running
@@ -73,15 +72,6 @@ fn main() {
                     }
                 }
             }
-            "--kernel" => {
-                suite.kernel = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(k) => k,
-                    None => {
-                        eprintln!("--kernel expects auto|scalar|unrolled");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--quick" => {
                 suite.scale = 13;
                 suite.iterations = 5;
@@ -98,7 +88,7 @@ fn main() {
         std::process::exit(2);
     }
     println!(
-        "PCPM reproduction harness — scale {} (n ≈ {}K), {} iterations, {} threads, {} bins, {} kernel",
+        "PCPM reproduction harness — scale {} (n ≈ {}K), {} iterations, {} threads, {} bins",
         suite.scale,
         (1u64 << suite.scale) / 1000,
         suite.iterations,
@@ -107,7 +97,6 @@ fn main() {
             .map(|t| t.to_string())
             .unwrap_or_else(|| format!("{} (rayon)", rayon::current_num_threads())),
         suite.bin_format,
-        suite.kernel,
     );
     let run = |name: &str| cmd == name || cmd == "all";
     if run("table4") {

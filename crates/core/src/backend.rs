@@ -49,7 +49,6 @@ use crate::config::PcpmConfig;
 use crate::engine::{FormatPipeline, GatherKind, ScatterKind};
 use crate::error::{PcpmError, SnapshotError};
 use crate::format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
-use crate::kernel::KernelKind;
 use crate::partition::split_by_lens;
 use crate::pr::PhaseTimings;
 use crate::snapshot::{BinState, BinStateInner, DataplaneState, Snapshot};
@@ -118,9 +117,8 @@ pub struct BackendMetrics {
     /// gather pass — the paper's bandwidth-bound term; `None` for
     /// backends without message bins.
     pub dest_stream_bytes: Option<u64>,
-    /// Concrete gather kernel name (`"scalar"` / `"unrolled"`, `Auto`
-    /// already resolved at build time) for backends with a kernel axis;
-    /// `None` elsewhere.
+    /// Gather kernel name: `"unrolled"` (the 4-wide unrolled
+    /// branch-avoiding gather) on PCPM, `None` elsewhere.
     pub kernel: Option<&'static str>,
 }
 
@@ -268,8 +266,7 @@ pub struct ExecutionReport {
     pub batch_passes: usize,
     /// Query vectors served by those batched passes.
     pub batch_queries: usize,
-    /// Concrete gather kernel name, for backends with a kernel axis
-    /// ([`BackendMetrics::kernel`]).
+    /// Gather kernel name ([`BackendMetrics::kernel`]).
     pub kernel: Option<&'static str>,
 }
 
@@ -579,7 +576,7 @@ impl<A: Algebra> Engine<A> {
     /// On the PCPM dataplane this is a node-major SpMM — the destID bin
     /// stream is scanned (and, for the delta format, varint-decoded)
     /// **once** for the batch, each entry applied as one contiguous
-    /// `Q`-wide combine (see [`BinFormat::gather_many_from`]); a
+    /// `Q`-wide combine (the shared skeleton of [`crate::gather`]); a
     /// one-query batch runs the solo round, and the scatter/gather
     /// ablations and other backends loop over [`Engine::step`]-equivalent
     /// rounds. Per-query results are bit-identical to sequential
@@ -921,14 +918,6 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
         self
     }
 
-    /// Selects the gather/decode kernel variant (PCPM backend only).
-    /// [`KernelKind::Auto`] (the default) resolves to the
-    /// predicted-fastest concrete kernel at build time.
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.cfg.kernel = kernel;
-        self
-    }
-
     /// Selects the dataplane.
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
@@ -952,11 +941,6 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
             if self.scatter != ScatterKind::default() || self.gather != GatherKind::default() {
                 return Err(PcpmError::BadConfig(
                     "scatter/gather variants apply only to the PCPM backend",
-                ));
-            }
-            if self.cfg.kernel != KernelKind::Auto {
-                return Err(PcpmError::BadConfig(
-                    "gather kernel variants apply only to the PCPM backend",
                 ));
             }
         }
@@ -1022,7 +1006,6 @@ pub struct SnapshotEngineBuilder<A: Algebra> {
     snapshot: Snapshot,
     load: Duration,
     threads: Option<usize>,
-    kernel: KernelKind,
     _algebra: std::marker::PhantomData<A>,
 }
 
@@ -1035,7 +1018,6 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
             snapshot,
             load: t0.elapsed(),
             threads: None,
-            kernel: KernelKind::Auto,
             _algebra: std::marker::PhantomData,
         })
     }
@@ -1047,17 +1029,8 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
             snapshot,
             load,
             threads: None,
-            kernel: KernelKind::Auto,
             _algebra: std::marker::PhantomData,
         }
-    }
-
-    /// Selects the gather/decode kernel variant, exactly like
-    /// [`EngineBuilder::kernel`]. The kernel is a runtime knob, not a
-    /// layout property, so any snapshot accepts any kernel.
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// The loaded snapshot (graph, format, weightedness inspection).
@@ -1098,7 +1071,6 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         let mut cfg = PcpmConfig::default().with_partition_bytes(partition_bytes as usize);
         cfg.bin_format = bins.kind();
         cfg.threads = self.threads;
-        cfg.kernel = self.kernel;
         cfg.validate()?;
         if bins.is_weighted() != weights.is_some() {
             return Err(PcpmError::Snapshot(SnapshotError::Corrupt(
@@ -1108,7 +1080,7 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         let n = graph.num_nodes();
         let weighted = weights.is_some();
         let pool = build_pool(cfg.threads)?;
-        let backend = boxed_backend_from_state::<A>(n, png, bins, load, self.kernel)?;
+        let backend = boxed_backend_from_state::<A>(n, png, bins, load)?;
         Ok(Engine {
             backend,
             num_src: n,
@@ -1139,7 +1111,6 @@ fn boxed_backend_from_state<A: Algebra>(
     png: crate::png::Png,
     bins: BinState,
     load: Duration,
-    kernel: KernelKind,
 ) -> Result<Box<dyn Backend<A>>, PcpmError> {
     let updates_len = png.num_compressed_edges() as usize;
     Ok(match bins.0 {
@@ -1150,7 +1121,7 @@ fn boxed_backend_from_state<A: Algebra>(
                 weights,
             };
             Box::new(PcpmBackend::<A, WideFormat>::from_pipeline(
-                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load, kernel),
+                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load)?,
             )) as Box<dyn Backend<A>>
         }
         BinStateInner::Compact { dest_ids, weights } => {
@@ -1160,7 +1131,7 @@ fn boxed_backend_from_state<A: Algebra>(
                 weights,
             };
             Box::new(PcpmBackend::<A, CompactFormat>::from_pipeline(
-                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load, kernel),
+                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load)?,
             ))
         }
         BinStateInner::Delta {
@@ -1177,7 +1148,7 @@ fn boxed_backend_from_state<A: Algebra>(
                 weights,
             );
             Box::new(PcpmBackend::<A, DeltaFormat>::from_pipeline(
-                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load, kernel),
+                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load)?,
             ))
         }
     })
@@ -1285,7 +1256,7 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
             bin_format: Some(F::KIND.name()),
             bin_compression: Some(self.pipeline.bin_compression()),
             dest_stream_bytes: Some(self.pipeline.dest_stream_bytes()),
-            kernel: Some(self.pipeline.kernel().name()),
+            kernel: Some("unrolled"),
         }
     }
 
@@ -1758,11 +1729,12 @@ mod tests {
             .backend(BackendKind::Push)
             .build()
             .is_err());
-        // Oversized compact partitions still rejected by config validation.
+        // Compact at the default byte budget builds: the config caps
+        // its partitions at the 15-bit local-ID range.
         assert!(Engine::<PlusF32>::builder(&g)
             .compact_bins(true)
             .build()
-            .is_err());
+            .is_ok());
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! lives in the shared skeleton of [`crate::format`]; this module only
 //! keeps the storage type and its memory accounting.
 
-use crate::format::{BinFormat, BinScalar, WideFormat};
-use crate::png::{EdgeView, Png};
+use crate::format::BinScalar;
 
 /// The statically pre-allocated message bins for one PNG layout.
 ///
@@ -40,17 +39,6 @@ pub struct BinSpace<T = f32> {
 }
 
 impl<T: BinScalar> BinSpace<T> {
-    /// Allocates the bins and writes the destination-ID (and weight)
-    /// streams for `png`, in parallel over source partitions.
-    #[deprecated(
-        since = "0.3.0",
-        note = "construct through the format axis: `WideFormat::build` \
-                (or the engine builder's `.bin_format(BinFormatKind::Wide)`)"
-    )]
-    pub fn build(view: EdgeView<'_>, png: &Png, edge_weights: Option<&[f32]>) -> Self {
-        WideFormat::build(view, png, edge_weights)
-    }
-
     /// Heap bytes held by the bins (for the communication accounting).
     pub fn memory_bytes(&self) -> u64 {
         (self.updates.len() * std::mem::size_of::<T>()
@@ -62,7 +50,9 @@ impl<T: BinScalar> BinSpace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{BinFormat, WideFormat};
     use crate::partition::Partitioner;
+    use crate::png::{EdgeView, Png};
     use crate::{ID_MASK, MSB_FLAG};
     use pcpm_graph::Csr;
 
@@ -119,16 +109,6 @@ mod tests {
         // Bin 2 receives from partition 0: 2 -> {8}; from partition 2: 7 -> {8}.
         assert_eq!(decode(&png, &bins, 0, 2), vec![vec![8]]);
         assert_eq!(decode(&png, &bins, 2, 2), vec![vec![8]]);
-    }
-
-    #[test]
-    fn deprecated_direct_construction_still_works() {
-        // The 0.2 entry point remains callable for one release.
-        let (g, png) = setup(3);
-        #[allow(deprecated)]
-        let old = BinSpace::<f32>::build(EdgeView::from_csr(&g), &png, None);
-        let new = build(&g, &png, None);
-        assert_eq!(old.dest_ids, new.dest_ids);
     }
 
     #[test]

@@ -13,20 +13,16 @@
 //! [`CompactFormat`](crate::format::CompactFormat) storage of the
 //! [`BinFormat`](crate::format::BinFormat) axis; the build/repair logic
 //! is the shared fixed-width skeleton in [`crate::format`].
-//! [`gather_compact_branch_avoiding`] mirrors Algorithm 4 on it. The
-//! batched gather is the shared node-major one of [`crate::gather`]
-//! (one accumulator row per destination node, one row-wide combine
-//! per entry); this module supplies only the 16-bit entry decode. The
-//! engine switches when [`crate::PcpmConfig::bin_format`] selects
-//! [`BinFormatKind::Compact`](crate::format::BinFormatKind) and
-//! the partition size permits.
+//! The gather is the shared skeleton of [`crate::gather`]; this module
+//! supplies only the 16-bit entry decode. The engine switches when
+//! [`crate::PcpmConfig::bin_format`] selects
+//! [`BinFormatKind::Compact`](crate::format::BinFormatKind), and
+//! [`PcpmConfig::partition_nodes`](crate::PcpmConfig::partition_nodes)
+//! then caps partitions at [`MAX_COMPACT_PARTITION`] nodes.
 
-use crate::format::{BinFormat, BinScalar, CompactFormat};
-use crate::gather::{did_segment, SegmentEntries};
-use crate::kernel::{prefetch, KernelKind};
-use crate::partition::split_by_lens;
-use crate::png::{EdgeView, Png};
-use rayon::prelude::*;
+use crate::format::BinScalar;
+use crate::gather::{did_segment, unroll4, SegmentEntries};
+use crate::png::Png;
 
 /// MSB flag in the 16-bit encoding.
 pub const MSB_FLAG16: u16 = 0x8000;
@@ -54,22 +50,6 @@ pub struct CompactBinSpace<T = f32> {
 }
 
 impl<T: BinScalar> CompactBinSpace<T> {
-    /// Builds the compact bins; the destination partitioner must satisfy
-    /// `partition_size() <= MAX_COMPACT_PARTITION`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition size exceeds the 15-bit local ID range
-    /// (engine code checks this before choosing the compact path).
-    #[deprecated(
-        since = "0.3.0",
-        note = "construct through the format axis: `CompactFormat::build` \
-                (or the engine builder's `.bin_format(BinFormatKind::Compact)`)"
-    )]
-    pub fn build(view: EdgeView<'_>, png: &Png, edge_weights: Option<&[f32]>) -> Self {
-        CompactFormat::build(view, png, edge_weights)
-    }
-
     /// Heap bytes held by the bins.
     pub fn memory_bytes(&self) -> u64 {
         (self.updates.len() * std::mem::size_of::<T>()
@@ -78,120 +58,15 @@ impl<T: BinScalar> CompactBinSpace<T> {
     }
 }
 
-/// Algorithm 4 over compact bins and the `(+, ×)` semiring.
-pub fn gather_compact_branch_avoiding(png: &Png, bins: &CompactBinSpace, y: &mut [f32]) {
-    gather_compact_algebra::<crate::algebra::PlusF32>(png, bins, y, KernelKind::Scalar);
-}
-
-/// Algorithm 4 over compact bins for an arbitrary
-/// [`Algebra`](crate::algebra::Algebra): identical pointer arithmetic,
-/// local 15-bit destination offsets (no base subtraction needed).
-/// [`KernelKind::Unrolled`] applies entries 4-at-a-time in the scalar
-/// order (bit-identical output) and prefetches the next segment.
-pub fn gather_compact_algebra<A: crate::algebra::Algebra>(
-    png: &Png,
-    bins: &CompactBinSpace<A::T>,
-    y: &mut [A::T],
-    kernel: KernelKind,
-) {
-    assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
-    let lens = png.dst_parts().lens();
-    let slices = split_by_lens(y, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    slices.into_par_iter().enumerate().for_each(|(p, ys)| {
-        ys.fill(A::identity());
-        for s in 0..k_src {
-            let part = png.part(s);
-            let ubase = png.upd_region()[s as usize] as usize;
-            let dbase = png.did_region()[s as usize] as usize;
-            let ulo = ubase + part.upd_off[p] as usize;
-            let uhi = ubase + part.upd_off[p + 1] as usize;
-            let dlo = dbase + part.did_off[p] as usize;
-            let dhi = dbase + part.did_off[p + 1] as usize;
-            let us = &bins.updates[ulo..uhi];
-            let ds = &bins.dest_ids[dlo..dhi];
-            if unrolled && s + 1 < k_src {
-                let np = png.part(s + 1);
-                let nb = png.did_region()[s as usize + 1] as usize;
-                prefetch(&bins.dest_ids[nb + np.did_off[p] as usize..]);
-            }
-            match &bins.weights {
-                None if unrolled => {
-                    let mut up = usize::MAX;
-                    macro_rules! step {
-                        ($id:expr) => {{
-                            let id = $id;
-                            up = up.wrapping_add((id >> 15) as usize);
-                            let slot = &mut ys[(id & ID_MASK16) as usize];
-                            *slot = A::combine(*slot, A::extend(us[up]));
-                        }};
-                    }
-                    let mut chunks = ds.chunks_exact(4);
-                    for c in &mut chunks {
-                        step!(c[0]);
-                        step!(c[1]);
-                        step!(c[2]);
-                        step!(c[3]);
-                    }
-                    for &id in chunks.remainder() {
-                        step!(id);
-                    }
-                }
-                None => {
-                    let mut up = usize::MAX;
-                    for &id in ds {
-                        up = up.wrapping_add((id >> 15) as usize);
-                        let slot = &mut ys[(id & ID_MASK16) as usize];
-                        *slot = A::combine(*slot, A::extend(us[up]));
-                    }
-                }
-                Some(w) if unrolled => {
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    macro_rules! step {
-                        ($id:expr, $wt:expr) => {{
-                            let id = $id;
-                            up = up.wrapping_add((id >> 15) as usize);
-                            let slot = &mut ys[(id & ID_MASK16) as usize];
-                            *slot = A::combine(*slot, A::extend_weighted($wt, us[up]));
-                        }};
-                    }
-                    let mut dc = ds.chunks_exact(4);
-                    let mut wc = ws.chunks_exact(4);
-                    for (c, cw) in (&mut dc).zip(&mut wc) {
-                        step!(c[0], cw[0]);
-                        step!(c[1], cw[1]);
-                        step!(c[2], cw[2]);
-                        step!(c[3], cw[3]);
-                    }
-                    for (&id, &wt) in dc.remainder().iter().zip(wc.remainder()) {
-                        step!(id, wt);
-                    }
-                }
-                Some(w) => {
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    for (&id, &wt) in ds.iter().zip(ws) {
-                        up = up.wrapping_add((id >> 15) as usize);
-                        let slot = &mut ys[(id & ID_MASK16) as usize];
-                        *slot = A::combine(*slot, A::extend_weighted(wt, us[up]));
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Compact entry decode for the node-major batched gather: the 15-bit
-/// payload is already the partition-local offset.
-impl<T: BinScalar> SegmentEntries for CompactBinSpace<T> {
-    fn weight_stream(&self) -> Option<&[f32]> {
-        self.weights.as_deref()
+/// Compact entry decode: the 15-bit payload is already the
+/// partition-local offset.
+impl<T: BinScalar> SegmentEntries<T> for CompactBinSpace<T> {
+    fn updates(&self) -> &[T] {
+        &self.updates
     }
 
-    fn prefetch_segment(&self, png: &Png, s: u32, p: usize) {
-        prefetch(&self.dest_ids[did_segment(png, s, p)]);
+    fn weight_stream(&self) -> Option<&[f32]> {
+        self.weights.as_deref()
     }
 
     #[inline(always)]
@@ -200,25 +75,26 @@ impl<T: BinScalar> SegmentEntries for CompactBinSpace<T> {
         png: &Png,
         s: u32,
         p: usize,
-        _kernel: KernelKind,
         _scratch: &mut Vec<u64>,
         mut apply: impl FnMut(usize, usize),
     ) {
         let mut up = usize::MAX;
-        for &id in &self.dest_ids[did_segment(png, s, p)] {
+        unroll4(&self.dest_ids[did_segment(png, s, p)], |id| {
             up = up.wrapping_add((id >> 15) as usize);
             apply((id & ID_MASK16) as usize, up);
-        }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::PlusF32;
     use crate::bins::BinSpace;
-    use crate::format::WideFormat;
-    use crate::gather::gather_branch_avoiding;
+    use crate::format::{BinFormat, CompactFormat, WideFormat};
+    use crate::gather::{gather_algebra, gather_branch_avoiding};
     use crate::partition::Partitioner;
+    use crate::png::EdgeView;
     use crate::scatter::png_scatter;
     use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
     use pcpm_graph::{Csr, EdgeWeights};
@@ -249,7 +125,7 @@ mod tests {
             let mut yw = vec![0.0f32; g.num_nodes() as usize];
             let mut yc = vec![0.0f32; g.num_nodes() as usize];
             gather_branch_avoiding(&png, &wide, &mut yw);
-            gather_compact_branch_avoiding(&png, &compact, &mut yc);
+            gather_algebra::<PlusF32>(&png, &compact, &mut yc);
             assert_eq!(yw, yc, "q={q}");
         }
     }
@@ -267,35 +143,8 @@ mod tests {
         let mut yw = vec![0.0f32; 200];
         let mut yc = vec![0.0f32; 200];
         gather_branch_avoiding(&png, &wide, &mut yw);
-        gather_compact_branch_avoiding(&png, &compact, &mut yc);
+        gather_algebra::<PlusF32>(&png, &compact, &mut yc);
         assert_eq!(yw, yc);
-    }
-
-    #[test]
-    fn unrolled_kernel_bit_identical_to_scalar() {
-        let g = rmat(&RmatConfig::graph500(9, 8, 61)).unwrap();
-        let w = EdgeWeights::random(&g, 8);
-        for weights in [None, Some(w.as_slice())] {
-            let png = setup(&g, 100);
-            let x: Vec<f32> = (0..g.num_nodes()).map(|v| (v as f32).sin()).collect();
-            let mut bins = build_compact(&g, &png, weights);
-            png_scatter(&png, &x, &mut bins.updates);
-            let n = g.num_nodes() as usize;
-            let (mut ys, mut yu) = (vec![0.0f32; n], vec![0.0f32; n]);
-            gather_compact_algebra::<crate::algebra::PlusF32>(
-                &png,
-                &bins,
-                &mut ys,
-                KernelKind::Scalar,
-            );
-            gather_compact_algebra::<crate::algebra::PlusF32>(
-                &png,
-                &bins,
-                &mut yu,
-                KernelKind::Unrolled,
-            );
-            assert_eq!(ys, yu, "weighted={}", weights.is_some());
-        }
     }
 
     #[test]
@@ -332,7 +181,7 @@ mod tests {
         x[1] = 7.0;
         png_scatter(&png, &x, &mut bins.updates);
         let mut y = vec![0.0f32; n as usize];
-        gather_compact_branch_avoiding(&png, &bins, &mut y);
+        gather_algebra::<PlusF32>(&png, &bins, &mut y);
         assert_eq!(y[(MAX_COMPACT_PARTITION - 1) as usize], 5.0);
         assert_eq!(y[(n - 1) as usize], 5.0);
         assert_eq!(y[0], 7.0);

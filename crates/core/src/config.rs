@@ -2,7 +2,6 @@
 
 use crate::error::PcpmError;
 use crate::format::BinFormatKind;
-use crate::kernel::KernelKind;
 
 /// Size of one PageRank / update value in bytes (the paper uses 4-byte
 /// values and indices throughout, §5.1).
@@ -40,8 +39,9 @@ pub struct PcpmConfig {
     pub redistribute_dangling: bool,
     /// Physical destination-ID encoding of the PCPM bins: wide 32-bit
     /// global IDs (the paper's §3.2 layout), compact 16-bit
-    /// partition-local IDs (§6; requires `partition_nodes() <= 2^15`),
-    /// or delta-encoded varints (`--format delta`).
+    /// partition-local IDs (§6; [`Self::partition_nodes`] caps its
+    /// partitions at 2^15 nodes), or delta-encoded varints
+    /// (`--format delta`).
     pub bin_format: BinFormatKind,
     /// Thread count for the engine-owned worker pool (prepare, every
     /// step and incremental repair run on it); `None` uses the ambient
@@ -50,12 +50,6 @@ pub struct PcpmConfig {
     /// exception is the atomic-accumulation `push_pagerank` baseline
     /// driver in `pcpm-baselines`.
     pub threads: Option<usize>,
-    /// Gather/decode kernel variant (`--kernel`). A runtime knob, not a
-    /// layout property: it never affects bins on disk or in snapshots,
-    /// and every variant produces bit-identical results.
-    /// [`KernelKind::Auto`] (the default) resolves at pipeline build
-    /// via the memsim-grounded model in [`crate::kernel::resolve_auto`].
-    pub kernel: KernelKind,
 }
 
 impl Default for PcpmConfig {
@@ -68,15 +62,21 @@ impl Default for PcpmConfig {
             redistribute_dangling: false,
             bin_format: BinFormatKind::Wide,
             threads: None,
-            kernel: KernelKind::Auto,
         }
     }
 }
 
 impl PcpmConfig {
-    /// Partition size `q` in nodes.
+    /// Partition size `q` in nodes. The compact format's 15-bit local
+    /// IDs cap it at [`MAX_COMPACT_PARTITION`](crate::compact::MAX_COMPACT_PARTITION)
+    /// nodes, so compact bins build at any byte budget (the default one
+    /// included) with partitions no larger than they can encode.
     pub fn partition_nodes(&self) -> u32 {
-        (self.partition_bytes / VALUE_BYTES).max(1) as u32
+        let q = (self.partition_bytes / VALUE_BYTES).max(1) as u32;
+        match self.bin_format {
+            BinFormatKind::Compact => q.min(crate::compact::MAX_COMPACT_PARTITION),
+            _ => q,
+        }
     }
 
     /// Returns a copy with a different partition byte budget.
@@ -109,12 +109,6 @@ impl PcpmConfig {
         self
     }
 
-    /// Returns a copy with a different gather/decode kernel variant.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Returns a copy with compact 16-bit destination bins enabled
     /// (shorthand for `with_bin_format(BinFormatKind::Compact)`).
     pub fn with_compact_bins(mut self) -> Self {
@@ -138,13 +132,6 @@ impl PcpmConfig {
         }
         if self.threads == Some(0) {
             return Err(PcpmError::BadConfig("threads must be at least 1"));
-        }
-        if self.bin_format == BinFormatKind::Compact
-            && self.partition_nodes() > crate::compact::MAX_COMPACT_PARTITION
-        {
-            return Err(PcpmError::BadConfig(
-                "compact bins require partitions of at most 2^15 nodes (128 KB of values)",
-            ));
         }
         Ok(())
     }
@@ -242,13 +229,11 @@ mod tests {
             .with_partition_bytes(1024)
             .with_iterations(5)
             .with_tolerance(1e-9)
-            .with_threads(2)
-            .with_kernel(KernelKind::Unrolled);
+            .with_threads(2);
         assert_eq!(c.partition_nodes(), 256);
         assert_eq!(c.iterations, 5);
         assert_eq!(c.tolerance, Some(1e-9));
         assert_eq!(c.threads, Some(2));
-        assert_eq!(c.kernel, KernelKind::Unrolled);
     }
 
     #[test]

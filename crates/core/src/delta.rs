@@ -26,16 +26,13 @@
 //! per source partition, `seg_off` per destination bin) because segment
 //! lengths are data-dependent; the update stream and the optional weight
 //! stream reuse the shared layouts, so scatter and weighted gather are
-//! unchanged. The batched gather is the shared node-major one of
-//! [`crate::gather`]: each varint is decoded once per batch and its
-//! entry applied as one contiguous row-wide combine into the
-//! partition's node-major accumulator.
+//! unchanged. The gather is the shared skeleton of [`crate::gather`];
+//! this module supplies only the entry decode, which batch-decodes each
+//! segment ([`decode_segment_into`]) before the apply loop walks it, so
+//! a batched pass decodes every varint once for all of its queries.
 
-use crate::algebra::Algebra;
 use crate::format::{build_weight_stream, repair_weight_stream, BinScalar, DestCursor};
-use crate::gather::SegmentEntries;
-use crate::kernel::{prefetch, KernelKind};
-use crate::partition::split_by_lens;
+use crate::gather::{unroll4, SegmentEntries};
 use crate::png::{for_each_run, EdgeView, Png};
 use rayon::prelude::*;
 
@@ -75,7 +72,9 @@ fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads one LEB128 varint at `*pos`, advancing it.
+/// Reads one LEB128 varint at `*pos`, advancing it: the batch
+/// decoder's fallback for long varints and the segment tail, the
+/// streaming [`DeltaCursor`]'s decode, and the tests' oracle.
 #[inline]
 fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
     let mut v = 0u64;
@@ -172,11 +171,8 @@ fn continuation_mask(w: u64) -> usize {
 /// byte. All 8 slots are extracted and stored unconditionally (garbage
 /// slots land past `count` and are overwritten by the next window or
 /// truncated), so the store loop is branch-free too. Longer varints
-/// fall through to [`read_varint`], which stays the asserted-identical
-/// fallback (`batched_decode_matches_read_varint` below fuzzes the
-/// equivalence across every varint length; `tests/kernel_agreement.rs`
-/// and `tests/parallel_determinism.rs` assert whole-kernel bit-identity
-/// under `PCPM_TEST_KERNELS`).
+/// fall through to [`read_varint`] (`batched_decode_matches_read_varint`
+/// below fuzzes the equivalence across every varint length).
 #[inline]
 pub(crate) fn decode_segment_into(bytes: &[u8], out: &mut Vec<u64>) {
     let len = bytes.len();
@@ -462,155 +458,16 @@ impl DestCursor for DeltaCursor<'_> {
     }
 }
 
-/// Branch-avoiding gather over delta bins for an arbitrary
-/// [`Algebra`]: the same segment walk as the wide/compact gathers, with
-/// the pointer-arithmetic MSB trick carried in the varint's LSB. Decodes
-/// entries in identical order, so output is bit-identical to the wide
-/// format for any algebra.
-///
-/// `kernel` picks the decode strategy. [`KernelKind::Unrolled`] decodes
-/// each segment into a per-partition scratch buffer in one pass
-/// ([`decode_segment_into`]), prefetches the next segment, and applies
-/// the decoded entries 4-at-a-time; any other value runs the original
-/// scalar decode-in-loop. Both apply entries in exactly the same order,
-/// so f32 output is bit-identical across kernels.
-pub fn gather_delta_algebra<A: Algebra>(
-    png: &Png,
-    bins: &DeltaPackedBins<A::T>,
-    y: &mut [A::T],
-    kernel: KernelKind,
-) {
-    assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
-    let lens = png.dst_parts().lens();
-    let slices = split_by_lens(y, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    slices.into_par_iter().enumerate().for_each(|(p, ys)| {
-        ys.fill(A::identity());
-        // One scratch buffer per destination partition, reused across
-        // every source partition's segment (capacity converges to the
-        // largest segment; cleared, never reallocated per segment).
-        let mut scratch: Vec<u64> = Vec::new();
-        for s in 0..k_src {
-            let su = s as usize;
-            let part = png.part(s);
-            let ubase = png.upd_region()[su] as usize;
-            let ulo = ubase + part.upd_off[p] as usize;
-            let uhi = ubase + part.upd_off[p + 1] as usize;
-            let us = &bins.updates[ulo..uhi];
-            let bytes = bins.segment(su, p);
-            if unrolled && s + 1 < k_src {
-                prefetch(bins.segment(su + 1, p));
-            }
-            match &bins.weights {
-                None if unrolled => {
-                    decode_segment_into(bytes, &mut scratch);
-                    let mut up = usize::MAX;
-                    let mut local = 0usize;
-                    macro_rules! step {
-                        ($v:expr) => {{
-                            let v = $v;
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            let slot = &mut ys[local];
-                            *slot = A::combine(*slot, A::extend(us[up]));
-                        }};
-                    }
-                    let mut chunks = scratch.chunks_exact(4);
-                    for c in &mut chunks {
-                        step!(c[0]);
-                        step!(c[1]);
-                        step!(c[2]);
-                        step!(c[3]);
-                    }
-                    for &v in chunks.remainder() {
-                        step!(v);
-                    }
-                }
-                None => {
-                    let mut up = usize::MAX;
-                    let mut local = 0usize;
-                    let mut pos = 0usize;
-                    while pos < bytes.len() {
-                        let v = read_varint(bytes, &mut pos);
-                        // LSB = message start: advances the update
-                        // pointer and resets the local offset; otherwise
-                        // the payload is the gap to the previous dest.
-                        up = up.wrapping_add((v & 1) as usize);
-                        let d = (v >> 1) as usize;
-                        local = if v & 1 == 1 { d } else { local + d };
-                        let slot = &mut ys[local];
-                        *slot = A::combine(*slot, A::extend(us[up]));
-                    }
-                }
-                Some(w) if unrolled => {
-                    let dbase = png.did_region()[su] as usize;
-                    let dlo = dbase + part.did_off[p] as usize;
-                    let dhi = dbase + part.did_off[p + 1] as usize;
-                    let ws = &w[dlo..dhi];
-                    decode_segment_into(bytes, &mut scratch);
-                    let mut up = usize::MAX;
-                    let mut local = 0usize;
-                    let mut edge = 0usize;
-                    macro_rules! step {
-                        ($v:expr) => {{
-                            let v = $v;
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            let slot = &mut ys[local];
-                            *slot = A::combine(*slot, A::extend_weighted(ws[edge], us[up]));
-                            edge += 1;
-                        }};
-                    }
-                    let mut chunks = scratch.chunks_exact(4);
-                    for c in &mut chunks {
-                        step!(c[0]);
-                        step!(c[1]);
-                        step!(c[2]);
-                        step!(c[3]);
-                    }
-                    for &v in chunks.remainder() {
-                        step!(v);
-                    }
-                }
-                Some(w) => {
-                    let dbase = png.did_region()[su] as usize;
-                    let dlo = dbase + part.did_off[p] as usize;
-                    let dhi = dbase + part.did_off[p + 1] as usize;
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    let mut local = 0usize;
-                    let mut pos = 0usize;
-                    let mut edge = 0usize;
-                    while pos < bytes.len() {
-                        let v = read_varint(bytes, &mut pos);
-                        up = up.wrapping_add((v & 1) as usize);
-                        let d = (v >> 1) as usize;
-                        local = if v & 1 == 1 { d } else { local + d };
-                        let slot = &mut ys[local];
-                        *slot = A::combine(*slot, A::extend_weighted(ws[edge], us[up]));
-                        edge += 1;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Delta entry decode for the node-major batched gather: each varint
-/// is decoded **once** per batch, the per-edge LEB128 decode being this
-/// format's gather cost. [`KernelKind::Unrolled`] decodes the segment
-/// into `scratch` first ([`decode_segment_into`]); any other value
-/// decodes inline with [`read_varint`]. Both yield the same entries.
-impl<T: BinScalar> SegmentEntries for DeltaPackedBins<T> {
-    fn weight_stream(&self) -> Option<&[f32]> {
-        self.weights.as_deref()
+/// Delta entry decode: the segment is batch-decoded into `scratch`
+/// ([`decode_segment_into`]), then walked with the varint's LSB as the
+/// demarcation flag.
+impl<T: BinScalar> SegmentEntries<T> for DeltaPackedBins<T> {
+    fn updates(&self) -> &[T] {
+        &self.updates
     }
 
-    fn prefetch_segment(&self, _png: &Png, s: u32, p: usize) {
-        prefetch(self.segment(s as usize, p));
+    fn weight_stream(&self) -> Option<&[f32]> {
+        self.weights.as_deref()
     }
 
     #[inline(always)]
@@ -619,38 +476,30 @@ impl<T: BinScalar> SegmentEntries for DeltaPackedBins<T> {
         _png: &Png,
         s: u32,
         p: usize,
-        kernel: KernelKind,
         scratch: &mut Vec<u64>,
         mut apply: impl FnMut(usize, usize),
     ) {
-        let bytes = self.segment(s as usize, p);
+        decode_segment_into(self.segment(s as usize, p), scratch);
         let mut up = usize::MAX;
         let mut local = 0usize;
         // LSB = message start: advances the update pointer and resets
         // the local offset; otherwise the payload is the gap to the
         // previous destination.
-        let mut entry = |v: u64| {
+        unroll4(scratch, |v| {
             up = up.wrapping_add((v & 1) as usize);
             let d = (v >> 1) as usize;
             local = if v & 1 == 1 { d } else { local + d };
             apply(local, up);
-        };
-        if kernel == KernelKind::Unrolled {
-            decode_segment_into(bytes, scratch);
-            scratch.iter().for_each(|&v| entry(v));
-        } else {
-            let mut pos = 0usize;
-            while pos < bytes.len() {
-                entry(read_varint(bytes, &mut pos));
-            }
-        }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::PlusF32;
     use crate::format::{BinFormat, DeltaFormat, WideFormat};
+    use crate::gather::gather_algebra;
     use crate::partition::Partitioner;
     use crate::scatter::png_scatter;
     use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
@@ -697,10 +546,8 @@ mod tests {
             let n = g.num_nodes() as usize;
             let (mut yw, mut yd) = (vec![0.0f32; n], vec![0.0f32; n]);
             crate::gather::gather_branch_avoiding(&png, &wide, &mut yw);
-            for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-                gather_delta_algebra::<crate::algebra::PlusF32>(&png, &delta, &mut yd, kernel);
-                assert_eq!(yw, yd, "q={q} kernel={kernel}");
-            }
+            gather_algebra::<PlusF32>(&png, &delta, &mut yd);
+            assert_eq!(yw, yd, "q={q}");
         }
     }
 
@@ -783,10 +630,8 @@ mod tests {
         png_scatter(&png, &x, &mut delta.updates);
         let (mut yw, mut yd) = (vec![0.0f32; 200], vec![0.0f32; 200]);
         crate::gather::gather_branch_avoiding(&png, &wide, &mut yw);
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            gather_delta_algebra::<crate::algebra::PlusF32>(&png, &delta, &mut yd, kernel);
-            assert_eq!(yw, yd, "kernel={kernel}");
-        }
+        gather_algebra::<PlusF32>(&png, &delta, &mut yd);
+        assert_eq!(yw, yd);
     }
 
     #[test]
@@ -801,11 +646,9 @@ mod tests {
         png_scatter(&png, &x, &mut delta.updates);
         let n = g.num_nodes() as usize;
         let (mut yw, mut yd) = (vec![0u32; n], vec![0u32; n]);
-        crate::gather::gather_algebra::<MinLabel>(&png, &wide, &mut yw);
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            gather_delta_algebra::<MinLabel>(&png, &delta, &mut yd, kernel);
-            assert_eq!(yw, yd, "kernel={kernel}");
-        }
+        gather_algebra::<MinLabel>(&png, &wide, &mut yw);
+        gather_algebra::<MinLabel>(&png, &delta, &mut yd);
+        assert_eq!(yw, yd);
     }
 
     #[test]
@@ -867,12 +710,10 @@ mod tests {
         png_scatter(&png, &x, &mut delta.updates);
         let (mut yw, mut yd) = (vec![0.0f32; 4], vec![0.0f32; 4]);
         crate::gather::gather_branch_avoiding(&png, &wide, &mut yw);
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            gather_delta_algebra::<crate::algebra::PlusF32>(&png, &delta, &mut yd, kernel);
-            assert_eq!(yw, yd, "kernel={kernel}");
-            assert_eq!(yd[1], 2.0, "duplicate edge (0,1) counted twice");
-            assert_eq!(yd[3], 8.0, "duplicate edge (2,3) counted twice");
-        }
+        gather_algebra::<PlusF32>(&png, &delta, &mut yd);
+        assert_eq!(yw, yd);
+        assert_eq!(yd[1], 2.0, "duplicate edge (0,1) counted twice");
+        assert_eq!(yd[3], 8.0, "duplicate edge (2,3) counted twice");
     }
 
     #[test]
@@ -882,18 +723,31 @@ mod tests {
         let bins = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
         assert_eq!(bins.dest_stream_bytes(), 0);
         let mut y: Vec<f32> = vec![];
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            gather_delta_algebra::<crate::algebra::PlusF32>(&png, &bins, &mut y, kernel);
-        }
+        gather_algebra::<PlusF32>(&png, &bins, &mut y);
     }
 }
 
+/// Timing probe for the batched varint decode (run with
+/// `cargo test --release -p pcpm-core --lib perf_probe -- --ignored
+/// --nocapture`). It times the inline [`read_varint`] gather loop
+/// against [`decode_segment_into`] plus the apply loop over a seeded
+/// scale-12 R-MAT graph (edge factor 8, seed 42), and asserts that the
+/// batched decode is at least 1.5 times faster at 512-node partitions.
+/// Ignored by default: a timing floor belongs on a quiet machine, not
+/// in every test run.
 #[cfg(test)]
 mod perf_probe {
     use super::*;
     use crate::partition::Partitioner;
     use pcpm_graph::gen::{rmat, RmatConfig};
     use std::time::Instant;
+
+    /// Minimum inline-decode / batched-decode time ratio at the
+    /// asserted partition size.
+    const BATCHED_SPEEDUP_FLOOR: f64 = 1.5;
+
+    /// The partition size (in nodes) the floor is asserted at.
+    const FLOOR_PARTITION: u32 = 512;
 
     fn best_of<F: FnMut() -> u64>(mut f: F, edges: u64) -> f64 {
         let mut best = f64::INFINITY;
@@ -912,7 +766,8 @@ mod perf_probe {
     #[ignore]
     fn probe_decode_cost() {
         let g = rmat(&RmatConfig::graph500(12, 8, 42)).unwrap();
-        for q in [256u32, 512, 1024, 2048] {
+        let mut floor_ratio = None;
+        for q in [256u32, FLOOR_PARTITION, 1024, 2048] {
             let parts = Partitioner::new(g.num_nodes(), q).unwrap();
             let png = Png::build(EdgeView::from_csr(&g), parts, parts);
             let bins = DeltaPackedBins::<f32>::build(EdgeView::from_csr(&g), &png, None);
@@ -983,11 +838,20 @@ mod perf_probe {
             );
 
             println!(
-                "q={q:5} parts={k:3} bytes/edge={:.3} scalar={a:.3} decode={b:.3} \
+                "q={q:5} parts={k:3} bytes/edge={:.3} inline={a:.3} decode={b:.3} \
                  batched={c:.3} ratio={:.2}x",
                 total_bytes as f64 / edges as f64,
                 a / c
             );
+            if q == FLOOR_PARTITION {
+                floor_ratio = Some(a / c);
+            }
         }
+        let ratio = floor_ratio.expect("floor partition probed");
+        assert!(
+            ratio >= BATCHED_SPEEDUP_FLOOR,
+            "batched delta decode {ratio:.2}x fell below the {BATCHED_SPEEDUP_FLOOR}x floor \
+             at {FLOOR_PARTITION}-node partitions"
+        )
     }
 }

@@ -22,8 +22,7 @@ use crate::error::PcpmError;
 use crate::format::{
     dest_compression, BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat,
 };
-use crate::gather::batch_lanes;
-use crate::kernel::KernelKind;
+use crate::gather::{batch_lanes, gather_algebra, gather_node_major, SegmentEntries};
 use crate::partition::Partitioner;
 use crate::png::{EdgeView, Png};
 use crate::pr::PhaseTimings;
@@ -63,9 +62,6 @@ pub struct FormatPipeline<A: Algebra, F: BinFormat> {
     png: Png,
     bins: F::Bins<A::T>,
     preprocess: Duration,
-    /// The concrete gather kernel, resolved from [`PcpmConfig::kernel`]
-    /// at build time (never [`KernelKind::Auto`]).
-    kernel: KernelKind,
 }
 
 impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
@@ -89,26 +85,21 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         let t0 = crate::telemetry::stopwatch();
         let _span = crate::telemetry::span("prepare");
         let png = Png::build(view, src_parts, dst_parts);
-        F::validate_layout(&png)?;
         let bins = F::build(view, &png, weights);
-        let kernel = cfg.kernel.resolve(
-            F::KIND,
-            png.num_raw_edges(),
-            png.src_parts().num_partitions(),
-            png.dst_parts().num_partitions(),
-        );
         Ok(Self {
             num_src: view.num_src(),
             num_dst: view.num_dst(),
             png,
             bins,
             preprocess: t0.elapsed(),
-            kernel,
         })
     }
 
     /// Rehydrates a pipeline from snapshot state: no partitioning, PNG
-    /// build or bin encoding runs — the structures are adopted as-is.
+    /// build or bin encoding runs — the structures are adopted as-is,
+    /// once the format accepts the layout (a cold build sizes its
+    /// partitions to fit through [`PcpmConfig::partition_nodes`]; a
+    /// loaded layout is checked here).
     /// `preprocess` records the load wall-clock (the only preprocessing
     /// this process paid).
     pub(crate) fn from_loaded(
@@ -117,22 +108,15 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         png: Png,
         bins: F::Bins<A::T>,
         preprocess: Duration,
-        kernel: KernelKind,
-    ) -> Self {
-        let kernel = kernel.resolve(
-            F::KIND,
-            png.num_raw_edges(),
-            png.src_parts().num_partitions(),
-            png.dst_parts().num_partitions(),
-        );
-        Self {
+    ) -> Result<Self, PcpmError> {
+        F::validate_layout(&png)?;
+        Ok(Self {
             num_src,
             num_dst,
             png,
             bins,
             preprocess,
-            kernel,
-        }
+        })
     }
 
     /// The serializable dataplane state for the engine-snapshot writer.
@@ -158,12 +142,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// The bin storage.
     pub fn bins(&self) -> &F::Bins<A::T> {
         &self.bins
-    }
-
-    /// The concrete gather kernel this pipeline runs (`Auto` already
-    /// resolved at build time).
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// Heap bytes held by the message bins.
@@ -196,7 +174,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
 
     /// Whether the pipeline carries per-edge weights in its bins.
     pub fn is_weighted(&self) -> bool {
-        F::has_weights(&self.bins)
+        self.bins.weight_stream().is_some()
     }
 
     /// Incrementally repairs the prepared state after an edge-set change:
@@ -317,9 +295,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         {
             let _span = crate::telemetry::span("gather");
             match gather {
-                GatherKind::BranchAvoiding => {
-                    F::gather_from::<A>(&self.png, &self.bins, y, self.kernel)
-                }
+                GatherKind::BranchAvoiding => gather_algebra::<A>(&self.png, &self.bins, y),
                 GatherKind::Branchy => F::gather_branchy_from::<A>(&self.png, &self.bins, y)?,
             }
         }
@@ -334,10 +310,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             tm.add_gather_ns(gather_t.as_nanos() as u64);
             tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
             tm.add_bins_decoded(u64::from(self.png.dst_parts().num_partitions()));
-            if F::KIND == BinFormatKind::Delta {
-                tm.add_varint_decodes(self.png.num_raw_edges());
-            }
-            self.record_kernel_counters(gather_t);
+            self.record_decode_counters();
         }
         Ok(PhaseTimings {
             scatter: scatter_t,
@@ -354,7 +327,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// side by side in a row of [`batch_lanes`]`(Q)` slots); the gather
     /// decodes each bin segment once and applies every entry as one
     /// contiguous row-wide combine into a per-partition accumulator
-    /// ([`BinFormat::gather_many_from`]), so the destID bytes — and,
+    /// (the shared skeleton of [`crate::gather`]), so the destID bytes — and,
     /// for the delta format, the per-edge varint decode — are amortized
     /// across the batch. A one-query batch runs the solo
     /// [`FormatPipeline::spmv_with`] round instead (the bins' own update
@@ -406,7 +379,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         let t1 = crate::telemetry::stopwatch();
         {
             let _span = crate::telemetry::span("gather_many");
-            F::gather_many_from::<A>(&self.png, &self.bins, &upd, lanes, ys, self.kernel);
+            gather_node_major::<A, _>(&self.png, &self.bins, &upd, lanes, ys);
         }
         let gather_t = t1.elapsed();
         // The batched pass scans the destID stream (and decodes delta
@@ -418,10 +391,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             tm.add_gather_ns(gather_t.as_nanos() as u64);
             tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
             tm.add_bins_decoded(u64::from(self.png.dst_parts().num_partitions()));
-            if F::KIND == BinFormatKind::Delta {
-                tm.add_varint_decodes(self.png.num_raw_edges());
-            }
-            self.record_kernel_counters(gather_t);
+            self.record_decode_counters();
         }
         Ok(PhaseTimings {
             scatter: scatter_t,
@@ -430,27 +400,23 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         })
     }
 
-    /// Per-kernel telemetry, recorded once per gather pass from
+    /// Delta-decode telemetry, recorded once per gather pass from
     /// analytically known quantities (the caller has already checked
-    /// `is_enabled`). The unrolled delta kernel decodes one segment per
-    /// (src, dst) partition pair into an 8-bytes-per-entry scratch
-    /// buffer; the fixed-width and scalar paths touch no scratch.
-    fn record_kernel_counters(&self, gather_t: Duration) {
-        let tm = crate::telemetry::counters();
-        match self.kernel {
-            KernelKind::Unrolled => {
-                tm.add_gather_unrolled_ns(gather_t.as_nanos() as u64);
-                if F::KIND == BinFormatKind::Delta {
-                    let segs = u64::from(self.png.src_parts().num_partitions())
-                        * u64::from(self.png.dst_parts().num_partitions());
-                    tm.add_kernel_segments_decoded(segs);
-                    tm.add_kernel_scratch_bytes(
-                        crate::kernel::SCRATCH_BYTES_PER_EDGE * self.png.num_raw_edges(),
-                    );
-                }
-            }
-            _ => tm.add_gather_scalar_ns(gather_t.as_nanos() as u64),
+    /// `is_enabled`): one varint per raw edge, batch-decoded one segment
+    /// per (src, dst) partition pair into an 8-bytes-per-entry scratch
+    /// buffer. The fixed-width formats decode nothing.
+    fn record_decode_counters(&self) {
+        if F::KIND != BinFormatKind::Delta {
+            return;
         }
+        let tm = crate::telemetry::counters();
+        let edges = self.png.num_raw_edges();
+        tm.add_varint_decodes(edges);
+        tm.add_kernel_segments_decoded(
+            u64::from(self.png.src_parts().num_partitions())
+                * u64::from(self.png.dst_parts().num_partitions()),
+        );
+        tm.add_kernel_scratch_bytes(std::mem::size_of::<u64>() as u64 * edges);
     }
 }
 
@@ -488,14 +454,6 @@ macro_rules! with_pipeline_mut {
 pub struct PcpmPipeline<A: Algebra = PlusF32> {
     inner: AnyPipeline<A>,
 }
-
-/// The original f32 PCPM engine, now an alias of the algebra-generic
-/// pipeline specialized to the `(+, ×)` semiring.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `pcpm_core::Engine::builder(..)` (or `PcpmPipeline<PlusF32>` for per-call variant switching)"
-)]
-pub type PcpmEngine = PcpmPipeline<PlusF32>;
 
 impl<A: Algebra> PcpmPipeline<A> {
     /// Builds the pipeline for a square graph.
@@ -604,12 +562,6 @@ impl<A: Algebra> PcpmPipeline<A> {
         self.bin_format() == BinFormatKind::Compact
     }
 
-    /// The concrete gather kernel this pipeline runs (`Auto` already
-    /// resolved at build time).
-    pub fn kernel(&self) -> KernelKind {
-        with_pipeline!(self, p => p.kernel())
-    }
-
     /// Whether the pipeline carries per-edge weights in its bins.
     pub fn is_weighted(&self) -> bool {
         with_pipeline!(self, p => p.is_weighted())
@@ -666,7 +618,6 @@ impl<A: Algebra> PcpmPipeline<A> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
@@ -683,7 +634,7 @@ mod tests {
     fn engine_spmv_matches_reference() {
         let g = erdos_renyi(300, 2400, 8).unwrap();
         let cfg = PcpmConfig::default().with_partition_bytes(64 * 4); // q = 64
-        let mut eng = PcpmEngine::new(&g, &cfg).unwrap();
+        let mut eng = PcpmPipeline::<PlusF32>::new(&g, &cfg).unwrap();
         let x: Vec<f32> = (0..300).map(|v| (v as f32).sqrt()).collect();
         let mut y = vec![0.0f32; 300];
         eng.spmv(&x, &mut y).unwrap();
@@ -701,7 +652,7 @@ mod tests {
         let mut outputs = Vec::new();
         for scatter in [ScatterKind::Png, ScatterKind::CsrTraversal] {
             for gather in [GatherKind::BranchAvoiding, GatherKind::Branchy] {
-                let mut eng = PcpmEngine::new(&g, &cfg).unwrap();
+                let mut eng = PcpmPipeline::<PlusF32>::new(&g, &cfg).unwrap();
                 let mut y = vec![0.0f32; g.num_nodes() as usize];
                 eng.spmv_with(&x, &mut y, scatter, gather, Some(&g))
                     .unwrap();
@@ -716,7 +667,7 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_reported() {
         let g = erdos_renyi(10, 30, 1).unwrap();
-        let mut eng = PcpmEngine::new(&g, &PcpmConfig::default()).unwrap();
+        let mut eng = PcpmPipeline::<PlusF32>::new(&g, &PcpmConfig::default()).unwrap();
         let mut y = vec![0.0f32; 10];
         assert!(matches!(
             eng.spmv(&[0.0; 3], &mut y),
@@ -733,7 +684,7 @@ mod tests {
     #[test]
     fn csr_traversal_without_graph_errors() {
         let g = erdos_renyi(10, 30, 1).unwrap();
-        let mut eng = PcpmEngine::new(&g, &PcpmConfig::default()).unwrap();
+        let mut eng = PcpmPipeline::<PlusF32>::new(&g, &PcpmConfig::default()).unwrap();
         let x = vec![0.0f32; 10];
         let mut y = vec![0.0f32; 10];
         assert!(eng
@@ -750,7 +701,7 @@ mod tests {
     #[test]
     fn repeated_spmv_reuses_bins() {
         let g = erdos_renyi(100, 500, 4).unwrap();
-        let mut eng = PcpmEngine::new(&g, &PcpmConfig::default()).unwrap();
+        let mut eng = PcpmPipeline::<PlusF32>::new(&g, &PcpmConfig::default()).unwrap();
         let x: Vec<f32> = vec![1.0; 100];
         let mut y1 = vec![0.0f32; 100];
         let mut y2 = vec![0.0f32; 100];
@@ -762,7 +713,7 @@ mod tests {
     #[test]
     fn compression_ratio_exposed() {
         let g = rmat(&RmatConfig::graph500(8, 8, 5)).unwrap();
-        let eng = PcpmEngine::new(&g, &PcpmConfig::default()).unwrap();
+        let eng = PcpmPipeline::<PlusF32>::new(&g, &PcpmConfig::default()).unwrap();
         assert!(eng.compression_ratio() >= 1.0);
     }
 
@@ -801,7 +752,7 @@ mod tests {
     fn every_format_engine_matches_wide_engine() {
         let g = rmat(&RmatConfig::graph500(9, 8, 41)).unwrap();
         let wide_cfg = PcpmConfig::default().with_partition_bytes(512 * 4);
-        let mut wide = PcpmEngine::new(&g, &wide_cfg).unwrap();
+        let mut wide = PcpmPipeline::<PlusF32>::new(&g, &wide_cfg).unwrap();
         let x: Vec<f32> = (0..g.num_nodes()).map(|v| (v as f32).cos()).collect();
         let mut yw = vec![0.0f32; g.num_nodes() as usize];
         wide.spmv(&x, &mut yw).unwrap();
@@ -809,7 +760,7 @@ mod tests {
         assert!((wide.bin_compression() - 1.0).abs() < 1e-12);
         for format in [BinFormatKind::Compact, BinFormatKind::Delta] {
             let cfg = wide_cfg.with_bin_format(format);
-            let mut pipe = PcpmEngine::new(&g, &cfg).unwrap();
+            let mut pipe = PcpmPipeline::<PlusF32>::new(&g, &cfg).unwrap();
             let mut y = vec![0.0f32; g.num_nodes() as usize];
             pipe.spmv(&x, &mut y).unwrap();
             assert_eq!(yw, y, "format {format}");
@@ -822,24 +773,13 @@ mod tests {
     }
 
     #[test]
-    fn compact_with_oversized_partition_is_rejected() {
-        let g = erdos_renyi(100, 400, 2).unwrap();
-        // Default 256 KB partitions are 64 Ki nodes > 2^15.
-        let cfg = PcpmConfig::default().with_compact_bins();
-        assert!(PcpmEngine::new(&g, &cfg).is_err());
-        // Delta has no partition-size restriction.
-        let delta = PcpmConfig::default().with_bin_format(BinFormatKind::Delta);
-        assert!(PcpmEngine::new(&g, &delta).is_ok());
-    }
-
-    #[test]
     fn non_wide_formats_reject_branchy_gather() {
         let g = erdos_renyi(100, 400, 2).unwrap();
         for format in [BinFormatKind::Compact, BinFormatKind::Delta] {
             let cfg = PcpmConfig::default()
                 .with_partition_bytes(256)
                 .with_bin_format(format);
-            let mut eng = PcpmEngine::new(&g, &cfg).unwrap();
+            let mut eng = PcpmPipeline::<PlusF32>::new(&g, &cfg).unwrap();
             let x = vec![0.0f32; 100];
             let mut y = vec![0.0f32; 100];
             assert!(

@@ -11,9 +11,9 @@
 //!
 //! - how one PNG message run is **encoded** into the destination stream
 //!   ([`BinFormat::build`] / [`BinFormat::repair`]),
-//! - how the gather **decodes** it back ([`BinFormat::gather_from`],
-//!   the node-major batched [`BinFormat::gather_many_from`], or
-//!   entry-by-entry through a [`DestCursor`]),
+//! - how the gather **decodes** it back (the per-segment entry decode
+//!   every `Bins` type supplies to the one gather skeleton of
+//!   [`crate::gather`], or entry-by-entry through a [`DestCursor`]),
 //! - how much auxiliary memory the encoding costs
 //!   ([`BinFormat::aux_memory_bytes`], [`BinFormat::dest_stream_bytes`]).
 //!
@@ -31,7 +31,7 @@ use crate::bins::BinSpace;
 use crate::compact::CompactBinSpace;
 use crate::delta::DeltaPackedBins;
 use crate::error::PcpmError;
-use crate::kernel::KernelKind;
+use crate::gather::SegmentEntries;
 use crate::partition::split_by_lens;
 use crate::png::{for_each_run, EdgeView, Png};
 use rayon::prelude::*;
@@ -100,8 +100,9 @@ impl std::str::FromStr for BinFormatKind {
 /// order, flagging the first entry of every message.
 ///
 /// Every format can decode itself through this interface (the format
-/// round-trip tests and debugging helpers use it); the hot gather loops
-/// are specialized per format but produce the identical entry sequence.
+/// round-trip tests and debugging helpers use it); the gather uses each
+/// format's batched segment decode, which yields the identical entry
+/// sequence.
 pub trait DestCursor {
     /// The next `(global destination ID, starts_new_message)` entry, or
     /// `None` at the end of the segment.
@@ -117,7 +118,11 @@ pub trait DestCursor {
 /// [`BinFormatKind`].
 pub trait BinFormat: Send + Sync + 'static {
     /// The bin storage built over a PNG, generic over the update scalar.
-    type Bins<T: BinScalar>: Send + Sync + Clone + std::fmt::Debug;
+    /// Its segment decode is all the gather skeleton of
+    /// [`crate::gather`] needs from a format
+    /// ([`gather_algebra`](crate::gather::gather_algebra) runs on any of
+    /// them).
+    type Bins<T: BinScalar>: Send + Sync + Clone + std::fmt::Debug + SegmentEntries<T>;
 
     /// The segment decoder (see [`DestCursor`]).
     type Cursor<'a>: DestCursor;
@@ -126,7 +131,9 @@ pub trait BinFormat: Send + Sync + 'static {
     const KIND: BinFormatKind;
 
     /// Rejects PNG layouts this format cannot encode (e.g. compact's
-    /// 15-bit partition-size limit). Called before [`BinFormat::build`].
+    /// 15-bit partition-size limit). Checked when an engine adopts a
+    /// snapshot-loaded layout; a cold build gets a valid one from
+    /// [`PcpmConfig::partition_nodes`](crate::PcpmConfig::partition_nodes).
     fn validate_layout(png: &Png) -> Result<(), PcpmError> {
         let _ = png;
         Ok(())
@@ -158,45 +165,6 @@ pub trait BinFormat: Send + Sync + 'static {
         crate::scatter::png_scatter(png, x, Self::updates_mut(bins));
     }
 
-    /// One gather round: reduces every message into `y` under `A`
-    /// (branch-avoiding, Algorithm 4 adapted to the encoding).
-    /// `kernel` selects the decode/accumulate variant (see
-    /// [`KernelKind`]); all variants apply entries in identical order,
-    /// so output is bit-identical across kernels.
-    fn gather_from<A: Algebra>(
-        png: &Png,
-        bins: &Self::Bins<A::T>,
-        y: &mut [A::T],
-        kernel: KernelKind,
-    );
-
-    /// One multi-query gather round (the SpMM inner loop), node-major.
-    ///
-    /// `upd` is the interleaved update stream of a `Q = ys.len()` query
-    /// batch ([`png_scatter_many`](crate::scatter::png_scatter_many)'s
-    /// layout: compressed edge `i` holds query `j`'s update at
-    /// `upd[i·lanes + j]`, with `lanes` =
-    /// [`batch_lanes`](crate::gather::batch_lanes)`(Q)`). Each
-    /// destination-partition worker owns one `len × lanes` accumulator;
-    /// every decoded entry applies one contiguous row of updates to one
-    /// contiguous accumulator row, and the accumulator is transposed
-    /// into `ys[j]` at the end of the partition. Each destination-ID
-    /// segment is decoded **once** per batch, so the dest-stream bytes
-    /// (and, for delta, the per-edge varint decodes) are paid once. The
-    /// combines for each (node, query) run in the solo gather's edge
-    /// order, so `ys[j]` is bit-identical to a solo
-    /// [`BinFormat::gather_from`] of query `j`. Only the entry decode
-    /// differs between formats; the accumulator, the row-wide apply and
-    /// the transpose are shared.
-    fn gather_many_from<A: Algebra>(
-        png: &Png,
-        bins: &Self::Bins<A::T>,
-        upd: &[A::T],
-        lanes: usize,
-        ys: &mut [&mut [A::T]],
-        kernel: KernelKind,
-    );
-
     /// The branchy-gather ablation (Algorithm 2). Only the wide format
     /// implements it; everything else reports a config error.
     fn gather_branchy_from<A: Algebra>(
@@ -213,9 +181,6 @@ pub trait BinFormat: Send + Sync + 'static {
     /// Mutable access to the update stream (the CSR-traversal scatter
     /// ablation writes it directly).
     fn updates_mut<T: BinScalar>(bins: &mut Self::Bins<T>) -> &mut [T];
-
-    /// Whether the bins carry per-edge weights.
-    fn has_weights<T: BinScalar>(bins: &Self::Bins<T>) -> bool;
 
     /// Heap bytes held by the bins (updates + destination stream +
     /// offsets + weights).
@@ -518,26 +483,6 @@ impl BinFormat for WideFormat {
         bins.weights = new_weights;
     }
 
-    fn gather_from<A: Algebra>(
-        png: &Png,
-        bins: &BinSpace<A::T>,
-        y: &mut [A::T],
-        kernel: KernelKind,
-    ) {
-        crate::gather::gather_algebra_kernel::<A>(png, bins, y, kernel);
-    }
-
-    fn gather_many_from<A: Algebra>(
-        png: &Png,
-        bins: &BinSpace<A::T>,
-        upd: &[A::T],
-        lanes: usize,
-        ys: &mut [&mut [A::T]],
-        kernel: KernelKind,
-    ) {
-        crate::gather::gather_many_node_major::<A, _>(png, bins, upd, lanes, ys, kernel);
-    }
-
     fn gather_branchy_from<A: Algebra>(
         png: &Png,
         bins: &BinSpace<A::T>,
@@ -549,10 +494,6 @@ impl BinFormat for WideFormat {
 
     fn updates_mut<T: BinScalar>(bins: &mut BinSpace<T>) -> &mut [T] {
         &mut bins.updates
-    }
-
-    fn has_weights<T: BinScalar>(bins: &BinSpace<T>) -> bool {
-        bins.weights.is_some()
     }
 
     fn aux_memory_bytes<T: BinScalar>(bins: &BinSpace<T>) -> u64 {
@@ -659,32 +600,8 @@ impl BinFormat for CompactFormat {
         bins.weights = new_weights;
     }
 
-    fn gather_from<A: Algebra>(
-        png: &Png,
-        bins: &CompactBinSpace<A::T>,
-        y: &mut [A::T],
-        kernel: KernelKind,
-    ) {
-        crate::compact::gather_compact_algebra::<A>(png, bins, y, kernel);
-    }
-
-    fn gather_many_from<A: Algebra>(
-        png: &Png,
-        bins: &CompactBinSpace<A::T>,
-        upd: &[A::T],
-        lanes: usize,
-        ys: &mut [&mut [A::T]],
-        kernel: KernelKind,
-    ) {
-        crate::gather::gather_many_node_major::<A, _>(png, bins, upd, lanes, ys, kernel);
-    }
-
     fn updates_mut<T: BinScalar>(bins: &mut CompactBinSpace<T>) -> &mut [T] {
         &mut bins.updates
-    }
-
-    fn has_weights<T: BinScalar>(bins: &CompactBinSpace<T>) -> bool {
-        bins.weights.is_some()
     }
 
     fn aux_memory_bytes<T: BinScalar>(bins: &CompactBinSpace<T>) -> u64 {
@@ -744,32 +661,8 @@ impl BinFormat for DeltaFormat {
         bins.repair(view, png, old_did_region, touched, weights);
     }
 
-    fn gather_from<A: Algebra>(
-        png: &Png,
-        bins: &DeltaPackedBins<A::T>,
-        y: &mut [A::T],
-        kernel: KernelKind,
-    ) {
-        crate::delta::gather_delta_algebra::<A>(png, bins, y, kernel);
-    }
-
-    fn gather_many_from<A: Algebra>(
-        png: &Png,
-        bins: &DeltaPackedBins<A::T>,
-        upd: &[A::T],
-        lanes: usize,
-        ys: &mut [&mut [A::T]],
-        kernel: KernelKind,
-    ) {
-        crate::gather::gather_many_node_major::<A, _>(png, bins, upd, lanes, ys, kernel);
-    }
-
     fn updates_mut<T: BinScalar>(bins: &mut DeltaPackedBins<T>) -> &mut [T] {
         &mut bins.updates
-    }
-
-    fn has_weights<T: BinScalar>(bins: &DeltaPackedBins<T>) -> bool {
-        bins.weights.is_some()
     }
 
     fn aux_memory_bytes<T: BinScalar>(bins: &DeltaPackedBins<T>) -> u64 {

@@ -1,44 +1,76 @@
 //! PCPM gather phase.
 //!
-//! Two implementations of the same reduction, both generic over the
-//! gather [`Algebra`] (f32 PageRank sums, min-label, min-plus, …):
+//! One skeleton serves every bin format, the solo SpMV and the batched
+//! SpMM: worker `p` owns destination partition `p` exclusively (so the
+//! phase is lock-free), walks the `k_src` segments `(s, p)` in
+//! source-partition order, and applies every decoded entry as
+//! `acc ⊕= extend(update)`. Algorithm 4's branch avoidance lives in the
+//! entry decode: the demarcation flag of each destination ID is *added*
+//! to the update pointer instead of being branched on (§3.4). A format
+//! contributes only that decode, through the crate-internal
+//! `SegmentEntries` trait (the wide decode lives here, the compact and
+//! delta decodes in their modules); every decode carries the 4-wide
+//! unroll of `unroll4`.
 //!
-//! - [`gather_algebra`] — Algorithm 4: the MSB of each destination ID is
-//!   *added* to the update pointer instead of being branched on, so the
-//!   inner loop has no unpredictable control flow (§3.4).
+//! The update stream is laid out **node-major**: the `Q` updates of a
+//! compressed edge sit side by side in one row of [`batch_lanes`]`(Q)`
+//! slots, and each decoded entry is one contiguous row-wide combine of
+//! an update row into an accumulator row (at `Q = 16` and 4-byte
+//! scalars, two 64-byte rows per edge, where a query-major layout
+//! touches `2·Q` scattered values). A batch accumulates into one
+//! per-partition block that is transposed into the `Q` outputs at the
+//! end of the partition; the solo gather is the one-lane case, reading
+//! the bins' own update stream and accumulating straight into its slice
+//! of `y`.
+//!
+//! - [`gather_algebra`] — the solo gather over any bin storage and any
+//!   gather [`Algebra`] (f32 PageRank sums, min-label, min-plus, …);
+//!   [`gather_branch_avoiding`] is its `(+, ×)` / wide specialization.
 //! - [`gather_algebra_branchy`] — Algorithm 2's gather: `if MSB(id) != 0
-//!   { pop update }`. Mispredicts on every message boundary; kept for the
-//!   branch-avoidance ablation benches.
-//!
-//! [`gather_branch_avoiding`] and [`gather_branchy`] are the `(+, ×)` /
-//! `f32` specializations the PageRank driver uses.
-//!
-//! Both are parallel over destination partitions: worker `p` owns the
-//! partial-sum slice of partition `p` exclusively, so the phase is
-//! lock-free. Updates and destination IDs are streamed segment by segment
-//! (one segment per source partition, each contiguous).
-//!
-//! The module also holds the batched (multi-query SpMM) gather every
-//! bin format shares, laid out **node-major**: the `Q` updates of a
-//! compressed edge sit side by side in one row of an interleaved
-//! stream ([`batch_lanes`] slots wide), worker `p` accumulates into one
-//! block of such rows, and each decoded entry is one contiguous
-//! row-wide combine of an update row into an accumulator row (at
-//! `Q = 16` and 4-byte scalars, two 64-byte rows per edge, where a
-//! query-major layout touches `2·Q` scattered values). The block is
-//! transposed into the `Q` outputs at the end of the partition. A
-//! format contributes only its entry decode, through the crate-internal
-//! `SegmentEntries` trait; the wide decode lives here.
+//!   { pop update }`. Mispredicts on every message boundary; kept, with
+//!   its own loop, for the branch-avoidance ablation benches (wide bins
+//!   only).
 
 use crate::algebra::Algebra;
 use crate::bins::BinSpace;
 use crate::format::BinScalar;
-use crate::kernel::{prefetch, KernelKind};
 use crate::partition::split_by_lens;
 use crate::png::Png;
 use crate::ID_MASK;
 use rayon::prelude::*;
 use std::ops::Range;
+
+pub(crate) use segment::SegmentEntries;
+
+mod segment {
+    use crate::png::Png;
+
+    /// How one bin storage walks a `(source partition, destination
+    /// partition)` segment: the only part of the gather that differs
+    /// between formats. Public in a private module, so it can bound the
+    /// public format API without being implementable outside the crate.
+    pub trait SegmentEntries<T>: Sync {
+        /// The bins' own update stream (one lane per compressed edge).
+        fn updates(&self) -> &[T];
+
+        /// The per-edge weight stream (raw-edge bin order), if weighted.
+        fn weight_stream(&self) -> Option<&[f32]>;
+
+        /// Decodes segment `(s, p)` in bin order, calling `apply(local,
+        /// up)` once per raw edge: `local` is the destination's offset
+        /// inside partition `p`, `up` the segment-local index of its
+        /// message's update. `scratch` is the worker's reusable decode
+        /// buffer.
+        fn for_each_entry(
+            &self,
+            png: &Png,
+            s: u32,
+            p: usize,
+            scratch: &mut Vec<u64>,
+            apply: impl FnMut(usize, usize),
+        );
+    }
+}
 
 /// Algorithm 4 over the `(+, ×)` semiring: branch-avoiding gather.
 /// Accumulates all messages into `y` (which is zeroed first). `y.len()`
@@ -53,34 +85,47 @@ pub fn gather_branchy(png: &Png, bins: &BinSpace, y: &mut [f32]) {
     gather_algebra_branchy::<crate::algebra::PlusF32>(png, bins, y);
 }
 
-/// Branch-avoiding gather (Algorithm 4) over an arbitrary [`Algebra`].
+/// Branch-avoiding gather (Algorithm 4) over an arbitrary [`Algebra`]
+/// and any bin storage (wide [`BinSpace`], compact
+/// [`CompactBinSpace`](crate::compact::CompactBinSpace) or
+/// [`DeltaPackedBins`](crate::delta::DeltaPackedBins)): the one-lane
+/// case of the shared skeleton, reading the bins' own update stream.
 ///
 /// The reduction into `y` starts from `A::identity()` per node; callers
 /// that need "keep my own value" semantics (label propagation, BFS)
 /// combine `y` with the previous vertex state afterwards.
-pub fn gather_algebra<A: Algebra>(png: &Png, bins: &BinSpace<A::T>, y: &mut [A::T]) {
-    run_gather::<A>(png, bins, y, false, KernelKind::Scalar);
-}
-
-/// [`gather_algebra`] with an explicit kernel variant.
-/// [`KernelKind::Unrolled`] applies entries 4-at-a-time (in exactly the
-/// scalar order, so f32 output stays bit-identical) and prefetches the
-/// next destID segment; any other value runs the scalar loop.
-pub fn gather_algebra_kernel<A: Algebra>(
-    png: &Png,
-    bins: &BinSpace<A::T>,
-    y: &mut [A::T],
-    kernel: KernelKind,
-) {
-    run_gather::<A>(png, bins, y, false, kernel);
+pub fn gather_algebra<A: Algebra>(png: &Png, bins: &impl SegmentEntries<A::T>, y: &mut [A::T]) {
+    gather_node_major::<A, _>(png, bins, bins.updates(), 1, &mut [y]);
 }
 
 /// Branchy gather (Algorithm 2) over an arbitrary [`Algebra`] — the
 /// branch-avoidance ablation, byte-identical output to
-/// [`gather_algebra`]. Always scalar: the ablation exists to measure
-/// the per-entry branch, which unrolling would blur.
+/// [`gather_algebra`]. A plain loop with no unroll: the ablation exists
+/// to measure the per-entry branch, which unrolling would blur.
 pub fn gather_algebra_branchy<A: Algebra>(png: &Png, bins: &BinSpace<A::T>, y: &mut [A::T]) {
-    run_gather::<A>(png, bins, y, true, KernelKind::Scalar);
+    assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
+    let lens = png.dst_parts().lens();
+    let k_src = png.src_parts().num_partitions();
+    split_by_lens(y, &lens)
+        .into_par_iter()
+        .enumerate()
+        .for_each(|(p, ys)| {
+            ys.fill(A::identity());
+            let base = png.dst_parts().range(p as u32).start as usize;
+            for s in 0..k_src {
+                let us = &bins.updates[upd_segment(png, s, p)];
+                let seg = did_segment(png, s, p);
+                let ws = bins.weights.as_deref().map(|w| &w[seg.clone()]);
+                let mut up = usize::MAX;
+                for (e, &id) in bins.dest_ids[seg].iter().enumerate() {
+                    if id >> 31 != 0 {
+                        up = up.wrapping_add(1);
+                    }
+                    let slot = &mut ys[(id & ID_MASK) as usize - base];
+                    *slot = lane::<A>(*slot, us[up], ws.map(|w| w[e]));
+                }
+            }
+        });
 }
 
 /// Splits each of the `Q` output vectors by destination-partition `lens`
@@ -107,30 +152,28 @@ pub(crate) fn did_segment(png: &Png, s: u32, p: usize) -> Range<usize> {
     (base + part.did_off[p]) as usize..(base + part.did_off[p + 1]) as usize
 }
 
-/// How one bin format walks a `(source partition, destination
-/// partition)` segment for the batched gather. This is the only part of
-/// [`gather_many_node_major`] that differs between formats.
-pub(crate) trait SegmentEntries: Sync {
-    /// The per-edge weight stream (raw-edge bin order), if weighted.
-    fn weight_stream(&self) -> Option<&[f32]>;
+/// Compressed-edge range of segment `(s, p)`: its rows of the update
+/// stream.
+fn upd_segment(png: &Png, s: u32, p: usize) -> Range<usize> {
+    let part = png.part(s);
+    let base = png.upd_region()[s as usize];
+    (base + part.upd_off[p]) as usize..(base + part.upd_off[p + 1]) as usize
+}
 
-    /// Touches the head of segment `(s, p)` (the unrolled kernel's
-    /// next-segment prefetch).
-    fn prefetch_segment(&self, png: &Png, s: u32, p: usize);
-
-    /// Decodes segment `(s, p)` in bin order, calling `apply(local, up)`
-    /// once per raw edge: `local` is the destination's offset inside
-    /// partition `p`, `up` the segment-local index of its message's
-    /// update. `scratch` is the worker's reusable decode buffer.
-    fn for_each_entry(
-        &self,
-        png: &Png,
-        s: u32,
-        p: usize,
-        kernel: KernelKind,
-        scratch: &mut Vec<u64>,
-        apply: impl FnMut(usize, usize),
-    );
+/// Calls `f` on every item of `items` in order, four per loop trip: the
+/// gather's 4-wide unroll, shared by every format's entry decode.
+#[inline(always)]
+pub(crate) fn unroll4<T: Copy>(items: &[T], mut f: impl FnMut(T)) {
+    let mut chunks = items.chunks_exact(4);
+    for c in &mut chunks {
+        f(c[0]);
+        f(c[1]);
+        f(c[2]);
+        f(c[3]);
+    }
+    for &x in chunks.remainder() {
+        f(x);
+    }
 }
 
 /// Lanes per row of the batched update stream and accumulator for a
@@ -156,46 +199,56 @@ fn lane<A: Algebra>(a: A::T, u: A::T, weight: Option<f32>) -> A::T {
     A::combine(a, c)
 }
 
-/// The `Q`-wide apply of one decoded entry, `acc[j] ⊕= extend(upd[j])`
-/// over two contiguous rows of `W` lanes (`W = 0`: a runtime row
-/// length). From 4 lanes up, the whole update row is loaded before the
-/// accumulator row is stored, so the compiler emits whole vector
-/// operations without having to prove the two rows disjoint; narrower
-/// and runtime-length rows take the plain lane loop.
+/// The apply of one decoded entry, `acc[local] ⊕= extend(upd[up])` over
+/// rows of `l` lanes (`W` is `l` at compile time, or 0 when `l` is
+/// known only at run time). One lane is a single combine. From 4 lanes
+/// up, the whole update row is loaded before the accumulator row is
+/// stored, so the compiler emits whole vector operations without having
+/// to prove the two rows disjoint; 2-lane and runtime-length rows take
+/// the plain lane loop.
 #[inline(always)]
-fn combine_row<A: Algebra, const W: usize>(acc: &mut [A::T], upd: &[A::T], weight: Option<f32>) {
-    if W <= 2 {
-        for (a, &u) in acc.iter_mut().zip(upd) {
+fn combine_row<A: Algebra, const W: usize>(
+    acc: &mut [A::T],
+    upd: &[A::T],
+    l: usize,
+    local: usize,
+    up: usize,
+    weight: Option<f32>,
+) {
+    if W == 1 {
+        let a = &mut acc[local];
+        *a = lane::<A>(*a, upd[up], weight);
+    } else if W <= 2 {
+        for (a, &u) in acc[local * l..][..l].iter_mut().zip(&upd[up * l..][..l]) {
             *a = lane::<A>(*a, u, weight);
         }
     } else {
-        let u: [A::T; W] = upd[..W].try_into().expect("update row");
-        let a: &mut [A::T; W] = (&mut acc[..W]).try_into().expect("accumulator row");
+        let u: [A::T; W] = upd[up * W..][..W].try_into().expect("update row");
+        let a: &mut [A::T; W] = (&mut acc[local * W..][..W])
+            .try_into()
+            .expect("accumulator row");
         *a = std::array::from_fn(|k| lane::<A>(a[k], u[k], weight));
     }
 }
 
-/// The node-major batched gather (the SpMM inner loop) shared by every
-/// bin format.
+/// The gather skeleton shared by every bin format, solo and batched.
 ///
-/// `upd` is the interleaved update stream
-/// [`png_scatter_many`](crate::scatter::png_scatter_many) writes:
-/// compressed edge `i` holds query `j`'s value at `upd[i·lanes + j]`,
-/// with `lanes` = [`batch_lanes`]`(ys.len())`. Worker `p` owns one
-/// `len(p) × lanes` accumulator. Each decoded entry does one contiguous
-/// `lanes`-wide combine from an update row into an accumulator row, so
-/// an edge touches two contiguous rows instead of `2·Q` scattered
-/// values. At the end of the partition the accumulator is transposed
-/// into `ys[j]`. The combines for each (node, query) run in the solo
-/// gather's edge order, so each `ys[j]` is bit-identical to a solo
-/// gather of query `j`.
-pub(crate) fn gather_many_node_major<A: Algebra, B: SegmentEntries>(
+/// `upd` is a node-major update stream of `lanes` =
+/// [`batch_lanes`]`(ys.len())` slots per compressed edge: the bins' own
+/// stream for one query, or the interleaved stream
+/// [`png_scatter_many`](crate::scatter::png_scatter_many) writes for a
+/// batch (query `j`'s value of compressed edge `i` at `upd[i·lanes +
+/// j]`). One lane accumulates straight into `ys[0]`; wider rows
+/// accumulate into a `len(p) × lanes` block per partition that is
+/// transposed into `ys[j]` at the end. The combines for each (node,
+/// query) run in the same edge order at every width, so each `ys[j]` is
+/// bit-identical to a solo gather of query `j`.
+pub(crate) fn gather_node_major<A: Algebra, B: SegmentEntries<A::T>>(
     png: &Png,
     bins: &B,
     upd: &[A::T],
     lanes: usize,
     ys: &mut [&mut [A::T]],
-    kernel: KernelKind,
 ) {
     assert_eq!(lanes, batch_lanes(ys.len()), "lanes per batch row");
     assert_eq!(
@@ -206,32 +259,37 @@ pub(crate) fn gather_many_node_major<A: Algebra, B: SegmentEntries>(
     for y in ys.iter() {
         assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
     }
-    match lanes {
-        _ if ys.is_empty() => {}
-        2 => gather_many_lanes::<A, B, 2>(png, bins, upd, 2, ys, kernel),
-        4 => gather_many_lanes::<A, B, 4>(png, bins, upd, 4, ys, kernel),
-        8 => gather_many_lanes::<A, B, 8>(png, bins, upd, 8, ys, kernel),
-        16 => gather_many_lanes::<A, B, 16>(png, bins, upd, 16, ys, kernel),
-        _ => gather_many_lanes::<A, B, 0>(png, bins, upd, lanes, ys, kernel),
+    match (lanes, &mut *ys) {
+        (_, []) => {}
+        (1, [y]) => {
+            let lens = png.dst_parts().lens();
+            split_by_lens(y, &lens)
+                .into_par_iter()
+                .enumerate()
+                .for_each(|(p, acc)| {
+                    acc.fill(A::identity());
+                    accumulate::<A, B, 1>(png, bins, upd, 1, p, acc);
+                });
+        }
+        (2, _) => gather_rows::<A, B, 2>(png, bins, upd, 2, ys),
+        (4, _) => gather_rows::<A, B, 4>(png, bins, upd, 4, ys),
+        (8, _) => gather_rows::<A, B, 8>(png, bins, upd, 8, ys),
+        (16, _) => gather_rows::<A, B, 16>(png, bins, upd, 16, ys),
+        _ => gather_rows::<A, B, 0>(png, bins, upd, lanes, ys),
     }
 }
 
-/// [`gather_many_node_major`] at a row width of `W` lanes (`W = 0`:
-/// `lanes`, known only at run time).
-fn gather_many_lanes<A: Algebra, B: SegmentEntries, const W: usize>(
+/// The batched case of [`gather_node_major`]: one accumulator block per
+/// partition, transposed into the `Q` outputs at the end.
+fn gather_rows<A: Algebra, B: SegmentEntries<A::T>, const W: usize>(
     png: &Png,
     bins: &B,
     upd: &[A::T],
     lanes: usize,
     ys: &mut [&mut [A::T]],
-    kernel: KernelKind,
 ) {
     let lens = png.dst_parts().lens();
-    let per_part = split_queries_by_parts(ys, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    let weights = bins.weight_stream();
-    per_part
+    split_queries_by_parts(ys, &lens)
         .into_par_iter()
         .enumerate()
         .for_each(|(p, mut outs)| {
@@ -239,31 +297,7 @@ fn gather_many_lanes<A: Algebra, B: SegmentEntries, const W: usize>(
             // compile to straight-line vector code.
             let l = if W == 0 { lanes } else { W };
             let mut acc = vec![A::identity(); lens[p] * l];
-            let mut scratch: Vec<u64> = Vec::new();
-            for s in 0..k_src {
-                let part = png.part(s);
-                let ubase = png.upd_region()[s as usize] as usize;
-                let ulo = ubase + part.upd_off[p] as usize;
-                let uhi = ubase + part.upd_off[p + 1] as usize;
-                let us = &upd[ulo * l..uhi * l];
-                if unrolled && s + 1 < k_src {
-                    bins.prefetch_segment(png, s + 1, p);
-                }
-                match weights {
-                    None => bins.for_each_entry(png, s, p, kernel, &mut scratch, |local, up| {
-                        combine_row::<A, W>(&mut acc[local * l..][..l], &us[up * l..][..l], None);
-                    }),
-                    Some(w) => {
-                        let ws = &w[did_segment(png, s, p)];
-                        let mut edge = 0usize;
-                        bins.for_each_entry(png, s, p, kernel, &mut scratch, |local, up| {
-                            let wt = Some(ws[edge]);
-                            combine_row::<A, W>(&mut acc[local * l..][..l], &us[up * l..][..l], wt);
-                            edge += 1;
-                        });
-                    }
-                }
-            }
+            accumulate::<A, B, W>(png, bins, upd, l, p, &mut acc);
             for (local, row) in acc.chunks_exact(l).enumerate() {
                 for (y, &v) in outs.iter_mut().zip(row) {
                     y[local] = v;
@@ -272,15 +306,46 @@ fn gather_many_lanes<A: Algebra, B: SegmentEntries, const W: usize>(
         });
 }
 
-/// Wide entry decode for the node-major batched gather: MSB-flagged
-/// global IDs, rebased to the partition.
-impl<T: BinScalar> SegmentEntries for BinSpace<T> {
-    fn weight_stream(&self) -> Option<&[f32]> {
-        self.weights.as_deref()
+/// Worker `p`'s pass: every segment `(s, p)` in source-partition order,
+/// each decoded entry combined into the accumulator rows `acc`.
+#[inline(always)]
+fn accumulate<A: Algebra, B: SegmentEntries<A::T>, const W: usize>(
+    png: &Png,
+    bins: &B,
+    upd: &[A::T],
+    l: usize,
+    p: usize,
+    acc: &mut [A::T],
+) {
+    let weights = bins.weight_stream();
+    let mut scratch: Vec<u64> = Vec::new();
+    for s in 0..png.src_parts().num_partitions() {
+        let rows = upd_segment(png, s, p);
+        let us = &upd[rows.start * l..rows.end * l];
+        match weights {
+            None => bins.for_each_entry(png, s, p, &mut scratch, |local, up| {
+                combine_row::<A, W>(acc, us, l, local, up, None);
+            }),
+            Some(w) => {
+                let ws = &w[did_segment(png, s, p)];
+                let mut edge = 0usize;
+                bins.for_each_entry(png, s, p, &mut scratch, |local, up| {
+                    combine_row::<A, W>(acc, us, l, local, up, Some(ws[edge]));
+                    edge += 1;
+                });
+            }
+        }
+    }
+}
+
+/// Wide entry decode: MSB-flagged global IDs, rebased to the partition.
+impl<T: BinScalar> SegmentEntries<T> for BinSpace<T> {
+    fn updates(&self) -> &[T] {
+        &self.updates
     }
 
-    fn prefetch_segment(&self, png: &Png, s: u32, p: usize) {
-        prefetch(&self.dest_ids[did_segment(png, s, p)]);
+    fn weight_stream(&self) -> Option<&[f32]> {
+        self.weights.as_deref()
     }
 
     #[inline(always)]
@@ -289,137 +354,18 @@ impl<T: BinScalar> SegmentEntries for BinSpace<T> {
         png: &Png,
         s: u32,
         p: usize,
-        _kernel: KernelKind,
         _scratch: &mut Vec<u64>,
         mut apply: impl FnMut(usize, usize),
     ) {
         let base = png.dst_parts().range(p as u32).start as usize;
+        // `up` starts one before the segment; the first entry always
+        // carries the MSB flag and advances it to 0.
         let mut up = usize::MAX;
-        for &id in &self.dest_ids[did_segment(png, s, p)] {
+        unroll4(&self.dest_ids[did_segment(png, s, p)], |id| {
             up = up.wrapping_add((id >> 31) as usize);
             apply((id & ID_MASK) as usize - base, up);
-        }
+        });
     }
-}
-
-fn run_gather<A: Algebra>(
-    png: &Png,
-    bins: &BinSpace<A::T>,
-    y: &mut [A::T],
-    branchy: bool,
-    kernel: KernelKind,
-) {
-    assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
-    let lens = png.dst_parts().lens();
-    let slices = split_by_lens(y, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    slices.into_par_iter().enumerate().for_each(|(p, ys)| {
-        ys.fill(A::identity());
-        let base = png.dst_parts().range(p as u32).start as usize;
-        for s in 0..k_src {
-            let part = png.part(s);
-            let ubase = png.upd_region()[s as usize] as usize;
-            let dbase = png.did_region()[s as usize] as usize;
-            let ulo = ubase + part.upd_off[p] as usize;
-            let uhi = ubase + part.upd_off[p + 1] as usize;
-            let dlo = dbase + part.did_off[p] as usize;
-            let dhi = dbase + part.did_off[p + 1] as usize;
-            let us = &bins.updates[ulo..uhi];
-            let ds = &bins.dest_ids[dlo..dhi];
-            if unrolled && s + 1 < k_src {
-                let np = png.part(s + 1);
-                let nb = png.did_region()[s as usize + 1] as usize;
-                prefetch(&bins.dest_ids[nb + np.did_off[p] as usize..]);
-            }
-            match (branchy, &bins.weights) {
-                (false, None) if unrolled => {
-                    let mut up = usize::MAX;
-                    macro_rules! step {
-                        ($id:expr) => {{
-                            let id = $id;
-                            up = up.wrapping_add((id >> 31) as usize);
-                            let slot = &mut ys[(id & ID_MASK) as usize - base];
-                            *slot = A::combine(*slot, A::extend(us[up]));
-                        }};
-                    }
-                    let mut chunks = ds.chunks_exact(4);
-                    for c in &mut chunks {
-                        step!(c[0]);
-                        step!(c[1]);
-                        step!(c[2]);
-                        step!(c[3]);
-                    }
-                    for &id in chunks.remainder() {
-                        step!(id);
-                    }
-                }
-                (false, None) => {
-                    // `up` starts one before the segment; the first entry
-                    // always carries the MSB flag and advances it to 0.
-                    let mut up = usize::MAX;
-                    for &id in ds {
-                        up = up.wrapping_add((id >> 31) as usize);
-                        let slot = &mut ys[(id & ID_MASK) as usize - base];
-                        *slot = A::combine(*slot, A::extend(us[up]));
-                    }
-                }
-                (false, Some(w)) if unrolled => {
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    macro_rules! step {
-                        ($id:expr, $wt:expr) => {{
-                            let id = $id;
-                            up = up.wrapping_add((id >> 31) as usize);
-                            let slot = &mut ys[(id & ID_MASK) as usize - base];
-                            *slot = A::combine(*slot, A::extend_weighted($wt, us[up]));
-                        }};
-                    }
-                    let mut dc = ds.chunks_exact(4);
-                    let mut wc = ws.chunks_exact(4);
-                    for (c, cw) in (&mut dc).zip(&mut wc) {
-                        step!(c[0], cw[0]);
-                        step!(c[1], cw[1]);
-                        step!(c[2], cw[2]);
-                        step!(c[3], cw[3]);
-                    }
-                    for (&id, &wt) in dc.remainder().iter().zip(wc.remainder()) {
-                        step!(id, wt);
-                    }
-                }
-                (false, Some(w)) => {
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    for (&id, &wt) in ds.iter().zip(ws) {
-                        up = up.wrapping_add((id >> 31) as usize);
-                        let slot = &mut ys[(id & ID_MASK) as usize - base];
-                        *slot = A::combine(*slot, A::extend_weighted(wt, us[up]));
-                    }
-                }
-                (true, None) => {
-                    let mut up = usize::MAX;
-                    for &id in ds {
-                        if id >> 31 != 0 {
-                            up = up.wrapping_add(1);
-                        }
-                        let slot = &mut ys[(id & ID_MASK) as usize - base];
-                        *slot = A::combine(*slot, A::extend(us[up]));
-                    }
-                }
-                (true, Some(w)) => {
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    for (&id, &wt) in ds.iter().zip(ws) {
-                        if id >> 31 != 0 {
-                            up = up.wrapping_add(1);
-                        }
-                        let slot = &mut ys[(id & ID_MASK) as usize - base];
-                        *slot = A::combine(*slot, A::extend_weighted(wt, us[up]));
-                    }
-                }
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -465,55 +411,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-4, "q={q} node {i}: {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn unrolled_kernel_bit_identical_to_scalar() {
-        let g = pcpm_graph::gen::rmat(&pcpm_graph::gen::RmatConfig::graph500(9, 7, 17)).unwrap();
-        let x: Vec<f32> = (0..g.num_nodes())
-            .map(|v| (v as f32 * 0.61).sin())
-            .collect();
-        for q in [1u32, 13, 128, 4096] {
-            let parts = Partitioner::new(g.num_nodes(), q).unwrap();
-            let png = Png::build(EdgeView::from_csr(&g), parts, parts);
-            let mut bins = WideFormat::build(EdgeView::from_csr(&g), &png, None);
-            png_scatter(&png, &x, &mut bins.updates);
-            let n = g.num_nodes() as usize;
-            let (mut ys, mut yu) = (vec![0.0f32; n], vec![0.0f32; n]);
-            gather_algebra_kernel::<crate::algebra::PlusF32>(
-                &png,
-                &bins,
-                &mut ys,
-                KernelKind::Scalar,
-            );
-            gather_algebra_kernel::<crate::algebra::PlusF32>(
-                &png,
-                &bins,
-                &mut yu,
-                KernelKind::Unrolled,
-            );
-            assert_eq!(ys, yu, "q={q}");
-        }
-    }
-
-    #[test]
-    fn unrolled_weighted_kernel_bit_identical_to_scalar() {
-        let g = pcpm_graph::gen::erdos_renyi(300, 2500, 9).unwrap();
-        let w = EdgeWeights::random(&g, 4);
-        let parts = Partitioner::new(300, 64).unwrap();
-        let png = Png::build(EdgeView::from_csr(&g), parts, parts);
-        let mut bins = WideFormat::build(EdgeView::from_csr(&g), &png, Some(w.as_slice()));
-        let x: Vec<f32> = (0..300).map(|v| (v as f32 * 0.11).cos()).collect();
-        png_scatter(&png, &x, &mut bins.updates);
-        let (mut ys, mut yu) = (vec![0.0f32; 300], vec![0.0f32; 300]);
-        gather_algebra_kernel::<crate::algebra::PlusF32>(&png, &bins, &mut ys, KernelKind::Scalar);
-        gather_algebra_kernel::<crate::algebra::PlusF32>(
-            &png,
-            &bins,
-            &mut yu,
-            KernelKind::Unrolled,
-        );
-        assert_eq!(ys, yu);
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub mod engine;
 pub mod error;
 pub mod format;
 pub mod gather;
-pub mod kernel;
 pub mod pagerank;
 pub mod partition;
 pub mod png;
@@ -85,13 +84,10 @@ pub use backend::{
 };
 pub use config::PcpmConfig;
 pub use delta::DeltaPackedBins;
-#[allow(deprecated)]
-pub use engine::PcpmEngine;
 pub use engine::{FormatPipeline, GatherKind, PcpmPipeline, ScatterKind};
 pub use error::PcpmError;
 pub use error::SnapshotError;
 pub use format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, DestCursor, WideFormat};
-pub use kernel::KernelKind;
 pub use partition::Partitioner;
 pub use png::Png;
 pub use pr::{PhaseTimings, PrResult};

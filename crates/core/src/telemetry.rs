@@ -36,9 +36,8 @@
 //! | `pool_jobs_dispatched` | rayon-shim jobs dispatched while inside `Engine::step` | one add per step |
 //! | `batched_passes` | multi-query (SpMM) passes executed | one add per `Engine::step_many` |
 //! | `batched_queries` | query vectors served by those passes | one add per `Engine::step_many` (`Q`) |
-//! | `kernel_segments_decoded` | bin segments batch-decoded by the unrolled delta kernel | one add per gather (`k²`) |
-//! | `kernel_scratch_bytes` | bytes round-tripped through the unrolled kernel's decode scratch | one add per gather |
-//! | `gather_scalar_ns` / `gather_unrolled_ns` | gather wall-clock split by the kernel variant that ran | one add per step |
+//! | `kernel_segments_decoded` | bin segments batch-decoded by the delta gather | one add per gather (`k²`) |
+//! | `kernel_scratch_bytes` | bytes round-tripped through the delta gather's decode scratch | one add per gather |
 //!
 //! The batched pair is the amortization measurement: a batched pass
 //! records `dest_stream_bytes_read` **once** however many query vectors
@@ -55,7 +54,7 @@
 //!
 //! | span | covers | opened by |
 //! | --- | --- | --- |
-//! | `prepare` | PNG build + bin construction + kernel resolution | `Engine::prepare` |
+//! | `prepare` | PNG build + bin construction | `Engine::prepare` |
 //! | `repair` | incremental PNG/bin repair after an update batch (arg: touched partitions) | `Engine::update` |
 //! | `scatter` | the PCPM scatter phase of one step (or of a one-query batch) | `Engine::step`, `Engine::step_many` |
 //! | `gather` | the PCPM gather phase of one step (or of a one-query batch) | `Engine::step`, `Engine::step_many` |
@@ -114,8 +113,6 @@ pub struct Counters {
     batched_queries: AtomicU64,
     kernel_segments_decoded: AtomicU64,
     kernel_scratch_bytes: AtomicU64,
-    gather_scalar_ns: AtomicU64,
-    gather_unrolled_ns: AtomicU64,
 }
 
 /// A point-in-time copy of every counter (see the module-level taxonomy
@@ -142,15 +139,11 @@ pub struct CounterSnapshot {
     pub batched_passes: u64,
     /// Query vectors served by those batched passes.
     pub batched_queries: u64,
-    /// Bin segments batch-decoded by the unrolled delta kernel.
+    /// Bin segments batch-decoded by the delta gather.
     pub kernel_segments_decoded: u64,
-    /// Bytes round-tripped through the unrolled kernel's decode
-    /// scratch buffer (8 bytes per decoded delta entry).
+    /// Bytes round-tripped through the delta gather's decode scratch
+    /// buffer (8 bytes per decoded entry).
     pub kernel_scratch_bytes: u64,
-    /// Gather wall-clock spent in the scalar kernel, nanoseconds.
-    pub gather_scalar_ns: u64,
-    /// Gather wall-clock spent in the unrolled kernel, nanoseconds.
-    pub gather_unrolled_ns: u64,
 }
 
 impl CounterSnapshot {
@@ -170,8 +163,6 @@ impl CounterSnapshot {
             + self.batched_queries
             + self.kernel_segments_decoded
             + self.kernel_scratch_bytes
-            + self.gather_scalar_ns
-            + self.gather_unrolled_ns
     }
 }
 
@@ -205,8 +196,6 @@ impl Counters {
             batched_queries: AtomicU64::new(0),
             kernel_segments_decoded: AtomicU64::new(0),
             kernel_scratch_bytes: AtomicU64::new(0),
-            gather_scalar_ns: AtomicU64::new(0),
-            gather_unrolled_ns: AtomicU64::new(0),
         }
     }
 
@@ -236,8 +225,6 @@ impl Counters {
         self.batched_queries.store(0, Ordering::Relaxed);
         self.kernel_segments_decoded.store(0, Ordering::Relaxed);
         self.kernel_scratch_bytes.store(0, Ordering::Relaxed);
-        self.gather_scalar_ns.store(0, Ordering::Relaxed);
-        self.gather_unrolled_ns.store(0, Ordering::Relaxed);
     }
 
     /// Copies every counter out.
@@ -255,8 +242,6 @@ impl Counters {
             batched_queries: self.batched_queries.load(Ordering::Relaxed),
             kernel_segments_decoded: self.kernel_segments_decoded.load(Ordering::Relaxed),
             kernel_scratch_bytes: self.kernel_scratch_bytes.load(Ordering::Relaxed),
-            gather_scalar_ns: self.gather_scalar_ns.load(Ordering::Relaxed),
-            gather_unrolled_ns: self.gather_unrolled_ns.load(Ordering::Relaxed),
         }
     }
 
@@ -281,14 +266,10 @@ impl Counters {
         add_batched_passes => batched_passes,
         /// Adds query vectors served by batched passes.
         add_batched_queries => batched_queries,
-        /// Adds bin segments batch-decoded by the unrolled kernel.
+        /// Adds bin segments batch-decoded by the delta gather.
         add_kernel_segments_decoded => kernel_segments_decoded,
-        /// Adds decode-scratch bytes round-tripped by the unrolled kernel.
+        /// Adds decode-scratch bytes round-tripped by the delta gather.
         add_kernel_scratch_bytes => kernel_scratch_bytes,
-        /// Adds gather nanoseconds attributed to the scalar kernel.
-        add_gather_scalar_ns => gather_scalar_ns,
-        /// Adds gather nanoseconds attributed to the unrolled kernel.
-        add_gather_unrolled_ns => gather_unrolled_ns,
     }
 }
 
@@ -524,8 +505,6 @@ mod tests {
         counters().add_batched_queries(10);
         counters().add_kernel_segments_decoded(10);
         counters().add_kernel_scratch_bytes(10);
-        counters().add_gather_scalar_ns(10);
-        counters().add_gather_unrolled_ns(10);
         assert_eq!(
             counters().snapshot().total(),
             0,

@@ -2,7 +2,6 @@
 
 use pcpm_core::algebra::{MinLabel, PlusF32};
 use pcpm_core::bins::BinSpace;
-use pcpm_core::compact::gather_compact_branch_avoiding;
 use pcpm_core::format::{BinFormat, CompactFormat, WideFormat};
 use pcpm_core::gather::{gather_algebra, gather_branch_avoiding, gather_branchy};
 use pcpm_core::partition::{split_by_lens, Partitioner};
@@ -83,7 +82,7 @@ proptest! {
             (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
         gather_branch_avoiding(&png, &wide, &mut y1);
         gather_branchy(&png, &wide, &mut y2);
-        gather_compact_branch_avoiding(&png, &compact, &mut y3);
+        gather_algebra::<PlusF32>(&png, &compact, &mut y3);
         gather_algebra::<PlusF32>(&png, &wide, &mut y4);
         prop_assert_eq!(&y1, &y2);
         prop_assert_eq!(&y1, &y3);

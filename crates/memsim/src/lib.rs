@@ -18,9 +18,8 @@
 //!   models (Eqs. 3–10) and the predicted-traffic-vs-`r` curve of Fig. 6;
 //! - [`energy`] — a DRAM energy model (per-byte plus per-row-activation)
 //!   for Fig. 10;
-//! - [`predict`] — closed-form gather-kernel cost estimates behind the
-//!   engine's `KernelKind::Auto` selection (the decision itself is
-//!   shared with `pcpm_core`, so prediction and engine never disagree).
+//! - [`predict`] — closed-form per-edge cost estimates of the gather
+//!   kernel, per bin format.
 //!
 //! Traffic volumes are deterministic functions of the access pattern, so
 //! the replays reproduce what PCM would count, modulo prefetcher effects

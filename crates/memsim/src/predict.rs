@@ -1,17 +1,20 @@
-//! Closed-form gather-kernel selection: predicts whether the scalar or
-//! the unrolled/batched kernel wins for a given graph shape and bin
-//! format, in the same cost-model spirit as [`crate::model`].
-//!
-//! The engine's [`KernelKind::Auto`] resolution and this predictor share
-//! one decision function — [`pcpm_core::kernel::resolve_auto`] — so the
-//! simulator's prediction and the engine's auto-selection can never
-//! disagree. What this module adds on top of the shared decision is the
-//! *cost estimates* behind it: per-edge gather-nanosecond predictions
-//! for each concrete kernel, validated against `BENCH_kernels.json` by
-//! the `kernels` bench.
+//! Closed-form gather-kernel cost estimates, in the same cost-model
+//! spirit as [`crate::model`]: per-edge gather nanoseconds for a
+//! one-entry-at-a-time scalar loop and for the 4-wide unrolled
+//! branch-avoiding gather the engine runs (with, on the delta format,
+//! its batched segment decode), for a given graph shape and bin format.
+//! The `kernels` bench prints them beside the measured gather cost.
 
 use pcpm_core::format::BinFormatKind;
-use pcpm_core::kernel::{resolve_auto, KernelKind, SCRATCH_BYTES_PER_EDGE, SCRATCH_CACHE_BUDGET};
+
+/// Scratch bytes per decoded delta entry (one `u64` each).
+pub const SCRATCH_BYTES_PER_EDGE: u64 = 8;
+
+/// Cache budget for the delta decode scratch: one segment's decoded
+/// entries should stay resident while the apply loop re-reads them.
+/// 256 KiB matches the paper's per-partition cache budget (a typical L2
+/// slice) that `PcpmConfig::default().partition_bytes` targets.
+pub const SCRATCH_CACHE_BUDGET: u64 = 256 * 1024;
 
 /// Calibration constants for the per-edge kernel cost model, all in
 /// nanoseconds. Calibrated against the committed
@@ -51,32 +54,17 @@ impl Default for KernelCosts {
     }
 }
 
-/// The predictor's verdict for one `(graph, format)` point.
+/// The predicted gather costs for one `(graph, format)` point.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KernelPrediction {
     /// Predicted gather cost of the scalar kernel, ns per raw edge.
     pub scalar_ns_per_edge: f64,
-    /// Predicted gather cost of the unrolled kernel, ns per raw edge.
+    /// Predicted gather cost of the unrolled kernel (the one the engine
+    /// runs), ns per raw edge.
     pub unrolled_ns_per_edge: f64,
-    /// The kernel [`KernelKind::Auto`] resolves to for this point —
-    /// delegated to [`resolve_auto`], so it is always exactly what the
-    /// engine would pick. Never [`KernelKind::Auto`].
-    pub choice: KernelKind,
     /// Average decoded entries per delta bin segment (0 for the
     /// fixed-width formats), the quantity the spill test is about.
     pub avg_segment_edges: u64,
-}
-
-impl KernelPrediction {
-    /// Predicted speedup of the chosen kernel over the other one
-    /// (>= 1.0 when the cost model and the shared decision agree).
-    pub fn predicted_speedup(&self) -> f64 {
-        let (win, lose) = match self.choice {
-            KernelKind::Scalar => (self.scalar_ns_per_edge, self.unrolled_ns_per_edge),
-            _ => (self.unrolled_ns_per_edge, self.scalar_ns_per_edge),
-        };
-        lose / win.max(f64::MIN_POSITIVE)
-    }
 }
 
 /// Number of partitions a dimension of `n` nodes splits into at
@@ -85,17 +73,17 @@ fn num_partitions(n: u64, q: u64) -> u64 {
     n.div_ceil(q.max(1)).max(1)
 }
 
-/// Predicts the winning gather kernel for an `n`-node, `raw_edges`-edge
-/// square graph under bin format `format` with partition size `q`
-/// (nodes per partition, `PcpmConfig::partition_nodes`).
+/// Predicts the gather cost of each kernel for an `n`-node,
+/// `raw_edges`-edge square graph under bin format `format` with
+/// partition size `q` (nodes per partition,
+/// `PcpmConfig::partition_nodes`).
 ///
-/// The `choice` field delegates to [`resolve_auto`] — the decision the
-/// engine makes at build time — while the per-kernel ns/edge estimates
-/// expose *why*: for the fixed-width formats the unrolled apply loop
-/// strictly shaves loop overhead, and for delta the batched decode wins
-/// until the average segment's decoded scratch
-/// ([`SCRATCH_BYTES_PER_EDGE`] per entry) outgrows the cache budget
-/// ([`SCRATCH_CACHE_BUDGET`]) and every entry pays a spill round trip.
+/// For the fixed-width formats the unrolled apply loop strictly shaves
+/// loop overhead. For delta the batched decode trades the per-byte
+/// decode branch for a scratch round trip, which is cheap while the
+/// average segment's decoded scratch ([`SCRATCH_BYTES_PER_EDGE`] per
+/// entry) fits the cache budget ([`SCRATCH_CACHE_BUDGET`]) and costs a
+/// spill per entry once it does not.
 pub fn predict_kernel(n: u64, raw_edges: u64, format: BinFormatKind, q: u64) -> KernelPrediction {
     predict_kernel_with(n, raw_edges, format, q, &KernelCosts::default())
 }
@@ -132,11 +120,9 @@ pub fn predict_kernel_with(
             )
         }
     };
-    let k32 = u32::try_from(k).unwrap_or(u32::MAX);
     KernelPrediction {
         scalar_ns_per_edge: scalar,
         unrolled_ns_per_edge: unrolled,
-        choice: resolve_auto(format, raw_edges, k32, k32),
         avg_segment_edges,
     }
 }
@@ -146,72 +132,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_width_always_picks_unrolled() {
+    fn fixed_width_unrolled_is_cheaper() {
         for format in [BinFormatKind::Wide, BinFormatKind::Compact] {
             let p = predict_kernel(1 << 20, 1 << 24, format, 1 << 16);
-            assert_eq!(p.choice, KernelKind::Unrolled);
             assert!(p.unrolled_ns_per_edge < p.scalar_ns_per_edge);
-            assert!(p.predicted_speedup() >= 1.0);
+            assert_eq!(p.avg_segment_edges, 0);
         }
     }
 
     #[test]
-    fn delta_cache_resident_picks_unrolled() {
+    fn delta_cache_resident_batched_decode_is_cheaper() {
         // Scale-12-ish: 4096 nodes, 32 K edges, q = 512 -> 8x8 segments,
         // ~512 entries (~4 KB scratch) per segment: firmly cache-resident.
         let p = predict_kernel(4096, 1 << 15, BinFormatKind::Delta, 512);
-        assert_eq!(p.choice, KernelKind::Unrolled);
+        assert_eq!(p.avg_segment_edges, 512);
         assert!(p.unrolled_ns_per_edge < p.scalar_ns_per_edge);
     }
 
     #[test]
-    fn delta_spilling_picks_scalar() {
+    fn delta_spilling_scratch_raises_the_unrolled_cost() {
         // One giant partition: the whole edge list decodes into one
         // scratch segment far beyond the cache budget.
         let n = 1u64 << 24;
-        let p = predict_kernel(n, 1 << 28, BinFormatKind::Delta, n);
-        assert_eq!(p.choice, KernelKind::Scalar);
-        assert!(p.scalar_ns_per_edge < p.unrolled_ns_per_edge);
-        assert!(p.avg_segment_edges * SCRATCH_BYTES_PER_EDGE > SCRATCH_CACHE_BUDGET);
-    }
-
-    #[test]
-    fn choice_always_matches_engine_resolution() {
-        // The predictor may never disagree with the engine's Auto: both
-        // call resolve_auto with the same (format, edges, k, k).
-        for format in BinFormatKind::ALL {
-            for (n, m, q) in [
-                (1u64 << 12, 1u64 << 15, 512u64),
-                (1 << 20, 1 << 24, 1 << 16),
-                (1 << 24, 1 << 28, 1 << 24),
-                (100, 0, 7),
-            ] {
-                let k = u32::try_from(n.div_ceil(q).max(1)).unwrap();
-                let p = predict_kernel(n, m, format, q);
-                assert_eq!(p.choice, resolve_auto(format, m, k, k));
-            }
-        }
-    }
-
-    #[test]
-    fn cost_model_ranks_consistently_with_choice() {
-        // Wherever the shared decision picks a kernel, the descriptive
-        // cost estimates must rank that kernel as (weakly) cheaper —
-        // otherwise the constants drifted from the decision rule.
-        for format in BinFormatKind::ALL {
-            for (n, m, q) in [
-                (1u64 << 12, 1u64 << 15, 512u64),
-                (1 << 16, 1 << 22, 1 << 10),
-                (1 << 24, 1 << 30, 1 << 24),
-            ] {
-                let p = predict_kernel(n, m, format, q);
-                match p.choice {
-                    KernelKind::Scalar => {
-                        assert!(p.scalar_ns_per_edge <= p.unrolled_ns_per_edge)
-                    }
-                    _ => assert!(p.unrolled_ns_per_edge <= p.scalar_ns_per_edge),
-                }
-            }
-        }
+        let spilled = predict_kernel(n, 1 << 28, BinFormatKind::Delta, n);
+        let resident = predict_kernel(4096, 1 << 15, BinFormatKind::Delta, 512);
+        assert!(spilled.avg_segment_edges * SCRATCH_BYTES_PER_EDGE > SCRATCH_CACHE_BUDGET);
+        assert!(spilled.unrolled_ns_per_edge > resident.unrolled_ns_per_edge);
+        assert_eq!(spilled.scalar_ns_per_edge, resident.scalar_ns_per_edge);
     }
 }

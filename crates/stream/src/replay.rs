@@ -497,8 +497,7 @@ pub fn replay(
         Some(path) if path.exists() => {
             let mut b = SnapshotEngineBuilder::<PlusF32>::open(path)?
                 .expect_config(&rc.cfg, false)?
-                .expect_graph(&base)?
-                .kernel(rc.cfg.kernel);
+                .expect_graph(&base)?;
             if let Some(t) = rc.cfg.threads {
                 b = b.threads(t);
             }

@@ -28,9 +28,7 @@
 //!               --top K (print only the K best rows)
 //!               --backend pcpm|pull|push|edge-centric (dataplane to run on)
 //!               --format wide|compact|delta (PCPM bin encoding; compact
-//!               needs --partition-bytes <= 131072, delta is unrestricted)
-//!               --kernel auto|scalar|unrolled (PCPM gather/decode kernel;
-//!               auto picks the predicted-fastest variant at build time)
+//!               caps partitions at 2^15 nodes, delta is unrestricted)
 //!               --seed S (every generator path is reproducible run-to-run)
 //!               --trace-out FILE (record telemetry spans, write
 //!               Chrome-trace JSON openable in chrome://tracing/Perfetto)
@@ -89,7 +87,6 @@ struct Options {
     out: Option<String>,
     backend: BackendKind,
     format: BinFormatKind,
-    kernel: KernelKind,
     seed: u64,
     kind: String,
     scale: u32,
@@ -136,7 +133,6 @@ fn parse_args() -> Result<Options, String> {
         out: None,
         backend: BackendKind::Pcpm,
         format: BinFormatKind::Wide,
-        kernel: KernelKind::Auto,
         seed: 42,
         kind: "rmat".to_string(),
         scale: 10,
@@ -344,10 +340,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| format!("unknown format '{v}' (expected wide|compact|delta)"))?;
             }
-            "--kernel" => {
-                let v = take_value(&mut rest, &mut i)?;
-                opts.kernel = v.parse()?;
-            }
             "--json" => opts.json = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             pos => positional.push(pos.to_string()),
@@ -391,7 +383,6 @@ fn config(opts: &Options) -> PcpmConfig {
     cfg.tolerance = opts.tolerance;
     cfg.threads = opts.threads;
     cfg.bin_format = opts.format;
-    cfg.kernel = opts.kernel;
     cfg
 }
 
@@ -640,8 +631,7 @@ fn pagerank_engine(
                         .expect_config(cfg, weights.is_some())
                         .map_err(|e| format!("{cache}: {e} (rebuild with `pcpm build-cache`)"))?
                         .expect_graph(graph)
-                        .map_err(|e| format!("{cache}: {e} (rebuild with `pcpm build-cache`)"))?
-                        .kernel(cfg.kernel);
+                        .map_err(|e| format!("{cache}: {e} (rebuild with `pcpm build-cache`)"))?;
                     if let Some(t) = opts.threads {
                         b = b.threads(t);
                     }

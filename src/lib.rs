@@ -106,8 +106,8 @@ pub mod prelude {
     pub use pcpm_core::spmv::SpmvMatrix;
     pub use pcpm_core::{
         Backend, BackendKind, BinFormatKind, Engine, EngineBuilder, ExecutionReport, GatherKind,
-        KernelKind, Partitioner, PcpmConfig, Png, PrResult, ScatterKind, Snapshot,
-        SnapshotEngineBuilder, SnapshotError,
+        Partitioner, PcpmConfig, Png, PrResult, ScatterKind, Snapshot, SnapshotEngineBuilder,
+        SnapshotError,
     };
     pub use pcpm_core::{EdgeOp, EdgeUpdate, RepairStats, UpdateBatch, UpdateOutcome};
     pub use pcpm_graph::gen::{RmatConfig, WebConfig};
@@ -117,12 +117,4 @@ pub mod prelude {
         gen_updates, read_updates_auto, replay, write_updates_binary, DeltaGraph, ReplayConfig,
         UpdateGenConfig, UpdateLog,
     };
-
-    // Pre-redesign entry points, kept one release for migration.
-    #[allow(deprecated)]
-    pub use pcpm_algos::PropagationEngine;
-    #[allow(deprecated)]
-    pub use pcpm_core::spmv::SpmvEngine;
-    #[allow(deprecated)]
-    pub use pcpm_core::PcpmEngine;
 }

@@ -46,6 +46,23 @@ fn pagerank_bit_identical_across_formats_and_threads() {
     }
 }
 
+/// Compact bins work at the default config on any graph: the 256 KB
+/// default budget (65,536-node partitions) exceeds the 15-bit local-ID
+/// range, so the config caps compact partitions at 2^15 nodes instead
+/// of refusing to build. On a graph of more than 2^15 nodes that gives
+/// compact two destination partitions against wide's one, and PageRank
+/// must still match wide bit for bit.
+#[test]
+fn compact_at_default_config_matches_wide_above_2_pow_15_nodes() {
+    let g = pcpm::graph::gen::erdos_renyi(40_000, 160_000, 3).unwrap();
+    let cfg = PcpmConfig::default().with_iterations(10);
+    let wide = pagerank(&g, &cfg).expect("wide pagerank");
+    let compact_cfg = cfg.with_bin_format(BinFormatKind::Compact);
+    assert_eq!(compact_cfg.partition_nodes(), 1 << 15);
+    let compact = pagerank(&g, &compact_cfg).expect("compact pagerank at default config");
+    assert_eq!(wide.scores, compact.scores);
+}
+
 /// At scale 12, the compressed formats must hold strictly less
 /// auxiliary memory than the wide format — delta below compact below
 /// wide — and report honest per-format dest-ID compression.

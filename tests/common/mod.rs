@@ -7,7 +7,7 @@
 
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
-use pcpm::prelude::{BinFormatKind, KernelKind};
+use pcpm::prelude::BinFormatKind;
 
 /// Bin formats under test (`PCPM_TEST_FORMATS` env, e.g.
 /// `PCPM_TEST_FORMATS=wide,delta`; default: all three).
@@ -25,23 +25,6 @@ pub fn format_matrix() -> Vec<BinFormatKind> {
             })
             .collect(),
         Err(_) => BinFormatKind::ALL.to_vec(),
-    }
-}
-
-/// Gather kernels under test (`PCPM_TEST_KERNELS` env, e.g.
-/// `PCPM_TEST_KERNELS=scalar,unrolled`; default: `auto` only — the CI
-/// kernel leg widens this to the full scalar/unrolled matrix).
-pub fn kernel_matrix() -> Vec<KernelKind> {
-    match std::env::var("PCPM_TEST_KERNELS") {
-        Ok(v) => v
-            .split(',')
-            .map(|k| {
-                k.trim()
-                    .parse()
-                    .unwrap_or_else(|e| panic!("PCPM_TEST_KERNELS: {e}"))
-            })
-            .collect(),
-        Err(_) => vec![KernelKind::Auto],
     }
 }
 

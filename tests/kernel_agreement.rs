@@ -9,11 +9,10 @@ use pcpm::prelude::*;
 use proptest::prelude::*;
 
 mod common;
-use common::{format_matrix, kernel_matrix};
+use common::format_matrix;
 
 /// The unified-API configurations the backend-agreement matrix covers:
-/// one PCPM engine per bin format (wide / compact / delta) crossed with
-/// every gather kernel under test (`PCPM_TEST_KERNELS`), PCPM with
+/// one PCPM engine per bin format (wide / compact / delta), PCPM with
 /// CSR-traversal scatter, and the pull / push / edge-centric dataplanes,
 /// all through the `Backend` trait behind `Engine`.
 fn matrix_engines<A: pcpm::core::algebra::Algebra>(
@@ -33,11 +32,9 @@ fn matrix_engines<A: pcpm::core::algebra::Algebra>(
     };
     let mut engines: Vec<(String, Engine<A>)> = Vec::new();
     for format in format_matrix() {
-        for kernel in kernel_matrix() {
-            engines.push(build(format!("pcpm_{format}_{kernel}"), &move |b| {
-                b.bin_format(format).kernel(kernel)
-            }));
-        }
+        engines.push(build(format!("pcpm_{format}"), &move |b| {
+            b.bin_format(format)
+        }));
     }
     engines.extend([
         build("pcpm_csr_traversal".to_string(), &|b| {
@@ -175,9 +172,29 @@ fn real_input(g: &Csr, j: usize) -> Vec<f32> {
         .collect()
 }
 
-/// `step_many` against solo `step`s on real-valued inputs, for every
-/// format, both concrete kernels and batch sizes on both sides of the
-/// unrolled kernel's width. Returns the solo outputs of the last batch.
+/// The serial f32 oracle: one pass over the edges in CSR order,
+/// `y[t] ⊕= extend(w_i, x[s])`. Each node's combines run in ascending
+/// source order, the order every PCPM gather must reproduce.
+fn serial_oracle<A: Algebra<T = f32>>(
+    g: &Csr,
+    weights: Option<&EdgeWeights>,
+    x: &[f32],
+) -> Vec<f32> {
+    let mut y = vec![A::identity(); g.num_nodes() as usize];
+    for (i, (s, t)) in g.edges().enumerate() {
+        let c = match weights {
+            None => A::extend(x[s as usize]),
+            Some(w) => A::extend_weighted(w.as_slice()[i], x[s as usize]),
+        };
+        y[t as usize] = A::combine(y[t as usize], c);
+    }
+    y
+}
+
+/// Solo `step` and every lane of `step_many` against the serial oracle,
+/// bit for bit, on real-valued inputs, for every format and batch sizes
+/// on both sides of the row widths. Returns the solo outputs of the
+/// last batch.
 fn assert_order_sensitive_batches<A: Algebra<T = f32>>(
     g: &Csr,
     weights: Option<&EdgeWeights>,
@@ -186,51 +203,55 @@ fn assert_order_sensitive_batches<A: Algebra<T = f32>>(
     let n = g.num_nodes() as usize;
     let mut last = Vec::new();
     for format in BinFormatKind::ALL {
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            // 64-node partitions: the 512-node graph has 8 destination
-            // partitions, so the per-partition accumulators and their
-            // transposes are all exercised.
-            let mut b = Engine::<A>::builder(g)
-                .partition_bytes(64 * 4)
-                .bin_format(format)
-                .kernel(kernel);
-            if let Some(w) = weights {
-                b = b.weights(w);
+        // 64-node partitions: the 512-node graph has 8 destination
+        // partitions, so the per-partition accumulators and their
+        // transposes are all exercised.
+        let mut b = Engine::<A>::builder(g)
+            .partition_bytes(64 * 4)
+            .bin_format(format);
+        if let Some(w) = weights {
+            b = b.weights(w);
+        }
+        let mut engine = b.build().unwrap();
+        for q in [1usize, 2, 3, 16, 17] {
+            let xs: Vec<Vec<f32>> = (0..q).map(|j| real_input(g, j)).collect();
+            let solo: Vec<Vec<f32>> = xs
+                .iter()
+                .map(|x| {
+                    let mut y = vec![0.0f32; n];
+                    engine.step(x, &mut y).unwrap();
+                    y
+                })
+                .collect();
+            let mut batched = vec![vec![7.0f32; n]; q];
+            let x_refs: Vec<&[f32]> = xs.iter().map(|x| x.as_slice()).collect();
+            let mut y_refs: Vec<&mut [f32]> =
+                batched.iter_mut().map(|y| y.as_mut_slice()).collect();
+            engine.step_many(&x_refs, &mut y_refs).unwrap();
+            for (j, ((b, s), x)) in batched.iter().zip(&solo).zip(&xs).enumerate() {
+                let want = bits(&serial_oracle::<A>(g, weights, x));
+                assert_eq!(
+                    bits(s),
+                    want,
+                    "{label} {format} Q={q}: query {j} solo step vs serial oracle"
+                );
+                assert_eq!(
+                    bits(b),
+                    want,
+                    "{label} {format} Q={q}: query {j} step_many vs serial oracle"
+                );
             }
-            let mut engine = b.build().unwrap();
-            for q in [1usize, 2, 3, 16, 17] {
-                let xs: Vec<Vec<f32>> = (0..q).map(|j| real_input(g, j)).collect();
-                let solo: Vec<Vec<f32>> = xs
-                    .iter()
-                    .map(|x| {
-                        let mut y = vec![0.0f32; n];
-                        engine.step(x, &mut y).unwrap();
-                        y
-                    })
-                    .collect();
-                let mut batched = vec![vec![7.0f32; n]; q];
-                let x_refs: Vec<&[f32]> = xs.iter().map(|x| x.as_slice()).collect();
-                let mut y_refs: Vec<&mut [f32]> =
-                    batched.iter_mut().map(|y| y.as_mut_slice()).collect();
-                engine.step_many(&x_refs, &mut y_refs).unwrap();
-                for (j, (b, s)) in batched.iter().zip(&solo).enumerate() {
-                    assert_eq!(
-                        bits(b),
-                        bits(s),
-                        "{label} {format} {kernel} Q={q}: query {j} step_many vs solo step"
-                    );
-                }
-                last = solo;
-            }
+            last = solo;
         }
     }
     last
 }
 
-/// Order-sensitive bit-identity of the batched SpMM. On real-valued
-/// inputs an f32 sum depends on its summation order, so a batched
-/// gather that reordered any (node, query) combine would fail here,
-/// unlike on the integer grid of [`assert_step_many_matches_steps`].
+/// Order-sensitive bit-identity of the solo and batched gathers against
+/// an independent serial loop. On real-valued inputs an f32 sum depends
+/// on its summation order, so a gather that reordered any (node, query)
+/// combine would fail here, unlike on the integer grid of
+/// [`assert_step_many_matches_steps`].
 #[test]
 fn step_many_is_bit_identical_on_order_sensitive_inputs() {
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 29)).unwrap();

@@ -6,17 +6,24 @@
 //! though thread count changes which worker computes what).
 //!
 //! The thread list is overridable for CI sweeps:
-//! `PCPM_TEST_THREADS=1,4 cargo test --test parallel_determinism`, the
-//! PCPM bin-format list via `PCPM_TEST_FORMATS=wide,delta`, and the
-//! gather-kernel list via `PCPM_TEST_KERNELS=scalar,unrolled`.
+//! `PCPM_TEST_THREADS=1,4 cargo test --test parallel_determinism`, and
+//! the PCPM bin-format list via `PCPM_TEST_FORMATS=wide,delta`.
 
 use pcpm::core::algebra::{MinLabel, PlusF32};
 use pcpm::core::engine::ScatterKind;
 use pcpm::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 mod common;
-use common::{format_matrix, kernel_matrix, thread_matrix};
+use common::{format_matrix, thread_matrix};
+
+/// Runs this binary's tests one at a time. The `rayon::diagnostics`
+/// counters are process-global, so the pools one test builds would
+/// otherwise land in another test's spawn count.
+fn serial() -> MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Exact integer-valued input (as in kernel_agreement): every f32 sum of
 /// these is exactly representable, so reduction order cannot matter.
@@ -38,21 +45,18 @@ fn engines_at(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Engine<Pl
         engines.push((format!("{}@{threads}", kind.name()), e));
     }
     for format in format_matrix() {
-        for kernel in kernel_matrix() {
-            if format == BinFormatKind::Wide && kernel == KernelKind::Auto {
-                continue; // BackendKind::Pcpm above already covers wide@auto.
-            }
-            engines.push((
-                format!("pcpm_{format}_{kernel}@{threads}"),
-                Engine::<PlusF32>::builder(g)
-                    .partition_bytes(q_bytes)
-                    .bin_format(format)
-                    .kernel(kernel)
-                    .threads(threads)
-                    .build()
-                    .unwrap(),
-            ));
+        if format == BinFormatKind::Wide {
+            continue; // BackendKind::Pcpm above already covers wide.
         }
+        engines.push((
+            format!("pcpm_{format}@{threads}"),
+            Engine::<PlusF32>::builder(g)
+                .partition_bytes(q_bytes)
+                .bin_format(format)
+                .threads(threads)
+                .build()
+                .unwrap(),
+        ));
     }
     engines.push((
         format!("pcpm_csr_traversal@{threads}"),
@@ -82,6 +86,7 @@ fn step_outputs(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Vec<f32
 
 #[test]
 fn step_bit_identical_across_thread_counts() {
+    let _serial = serial();
     let graphs = [
         pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 3)).unwrap(),
         pcpm::graph::gen::erdos_renyi(700, 5600, 11).unwrap(),
@@ -125,6 +130,7 @@ fn step_many_outputs(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Ve
 /// axis).
 #[test]
 fn step_many_bit_identical_across_thread_counts() {
+    let _serial = serial();
     let graphs = [
         pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 3)).unwrap(),
         pcpm::graph::gen::erdos_renyi(700, 5600, 11).unwrap(),
@@ -158,6 +164,7 @@ fn step_many_bit_identical_across_thread_counts() {
 
 #[test]
 fn baseline_runner_backends_bit_identical_across_thread_counts() {
+    let _serial = serial();
     use pcpm::baselines::{bvgas_engine, edge_centric_engine, grid_engine, pdpr_engine};
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 55)).unwrap();
     let x = int_x(g.num_nodes());
@@ -191,6 +198,7 @@ fn baseline_runner_backends_bit_identical_across_thread_counts() {
 
 #[test]
 fn integer_algebra_bit_identical_across_thread_counts() {
+    let _serial = serial();
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 6, 11)).unwrap();
     let xl: Vec<u32> = (0..g.num_nodes()).collect();
     let n = g.num_nodes() as usize;
@@ -221,6 +229,7 @@ fn integer_algebra_bit_identical_across_thread_counts() {
 /// on every bin format.
 #[test]
 fn streaming_repair_bit_identical_across_thread_counts() {
+    let _serial = serial();
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 77)).unwrap();
     let x = int_x(g.num_nodes());
     // Edit: drop the first edge of a few sources, insert a couple.
@@ -273,6 +282,7 @@ fn streaming_repair_bit_identical_across_thread_counts() {
 /// higher — the `>=` deltas stay sound.
 #[test]
 fn threads_knob_spawns_workers_and_dispatches_jobs() {
+    let _serial = serial();
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 5)).unwrap();
     let spawned_before = rayon::diagnostics::workers_spawned();
     let mut engine = Engine::<PlusF32>::builder(&g)
@@ -317,6 +327,7 @@ fn threads_knob_spawns_workers_and_dispatches_jobs() {
 /// a generous spawn bound over 50 driver runs backs it end to end.
 #[test]
 fn baseline_drivers_reuse_one_shared_pool() {
+    let _serial = serial();
     let p1 = pcpm::core::config::shared_pool(3);
     let p2 = pcpm::core::config::shared_pool(3);
     assert!(
