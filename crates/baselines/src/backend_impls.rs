@@ -215,10 +215,9 @@ fn baseline_engine<B: Backend<PlusF32> + 'static>(
         scatter: Default::default(),
         gather: Default::default(),
     };
-    // One engine-owned pool, built first and reused for the prepare and
-    // every step — like EngineBuilder::build, so preprocess timings
-    // compare apples-to-apples with the core backends and no throwaway
-    // pool is spawned per construction.
+    // The prepare runs on the engine's shared pool, like
+    // EngineBuilder::build, so preprocess timings compare
+    // apples-to-apples with the core backends.
     Engine::from_backend_with(cfg.threads, graph.num_nodes(), graph.num_nodes(), || {
         Ok(Box::new(B::prepare(&spec)?) as Box<dyn Backend<PlusF32>>)
     })

@@ -43,12 +43,7 @@ struct KernelRow {
     dest_gbps: f64,
 }
 
-fn gather_ns_total() -> u64 {
-    pcpm_core::telemetry::counters().snapshot().gather_ns
-}
-
 fn main() {
-    pcpm_core::telemetry::counters().set_enabled(true);
     let g = rmat(&RmatConfig::graph500(SCALE, EDGE_FACTOR, SEED)).expect("seeded rmat");
     let n = g.num_nodes() as usize;
     let edges = g.num_edges();
@@ -72,14 +67,14 @@ fn main() {
         let mut step_us = f64::INFINITY;
         let mut gather_ns = f64::INFINITY;
         for _ in 0..REPS {
-            let gather_before = gather_ns_total();
+            let gather_before = engine.report().timings.gather;
             let t0 = Instant::now();
             for _ in 0..MEASURED_STEPS {
                 engine.step(&x, &mut y).expect("step");
             }
             step_us = step_us.min(t0.elapsed().as_secs_f64() * 1e6 / MEASURED_STEPS as f64);
-            gather_ns =
-                gather_ns.min((gather_ns_total() - gather_before) as f64 / MEASURED_STEPS as f64);
+            let gather = engine.report().timings.gather - gather_before;
+            gather_ns = gather_ns.min(gather.as_nanos() as f64 / MEASURED_STEPS as f64);
         }
         match &reference {
             None => reference = Some(y.clone()),

@@ -4,16 +4,17 @@
 //! The point of the batched path is that the destination-ID stream —
 //! the DRAM-bandwidth-bound term of the paper's cost model — is
 //! scanned **once per batched pass**, not once per query. So the
-//! telemetry `dest_stream_bytes_read` for a Q-query pass should sit at
-//! ~1× the Q=1 pass (asserted here at ≤ 1.15×), while a sequential
-//! loop would pay Q×. Batched outputs are also asserted bit-identical
-//! to Q independent solo steps, per format.
+//! engine report's destID bytes per pass (`dest_stream_total_bytes`
+//! over `batch_passes`, both as deltas across the measured passes) for
+//! a Q-query pass should sit at ~1× the Q=1 pass (asserted here at
+//! ≤ 1.15×), while a sequential loop would pay Q×. Batched outputs are
+//! also asserted bit-identical to Q independent solo steps, per format.
 //!
 //! Emits `BENCH_multiquery.json` in the working directory; the seed
 //! baseline lives in `bench-baselines/`.
 
 use pcpm_core::algebra::PlusF32;
-use pcpm_core::{telemetry, BinFormatKind, Engine, PcpmConfig};
+use pcpm_core::{BinFormatKind, Engine, PcpmConfig};
 use pcpm_graph::gen::{rmat, RmatConfig};
 use std::time::Instant;
 
@@ -34,8 +35,6 @@ struct Row {
     pass_us: f64,
     per_query_us: f64,
     dest_stream_bytes_per_pass: u64,
-    bins_decoded_per_pass: u64,
-    varint_decodes_per_pass: u64,
 }
 
 fn main() {
@@ -44,9 +43,6 @@ fn main() {
     let xs: Vec<Vec<f32>> = (0..*BATCH_SIZES.iter().max().unwrap() as u32)
         .map(|q| (0..g.num_nodes()).map(|v| ((v + q) % 13) as f32).collect())
         .collect();
-
-    let tm = telemetry::counters();
-    tm.set_enabled(true);
 
     let mut rows: Vec<Row> = Vec::new();
     for format in BinFormatKind::ALL {
@@ -81,30 +77,30 @@ fn main() {
                     "{format} Q={q}: batched query {qi} diverged from its solo step"
                 );
             }
-            tm.reset();
+            let before = engine.report();
             let t0 = Instant::now();
             for _ in 0..MEASURED_PASSES {
                 let mut y_refs: Vec<&mut [f32]> = ys.iter_mut().map(|y| y.as_mut_slice()).collect();
                 engine.step_many(&x_refs, &mut y_refs).expect("pass");
             }
             let pass_us = t0.elapsed().as_secs_f64() * 1e6 / MEASURED_PASSES as f64;
-            let snap = tm.snapshot();
+            let after = engine.report();
+            let passes = after.batch_passes - before.batch_passes;
             assert_eq!(
-                snap.batched_passes, MEASURED_PASSES as u64,
+                passes, MEASURED_PASSES,
                 "{format} Q={q}: pass count drifted"
             );
+            let dest_bytes = after.dest_stream_total_bytes().expect("pcpm stream bytes")
+                - before.dest_stream_total_bytes().expect("pcpm stream bytes");
             rows.push(Row {
                 format: format.name(),
                 q,
                 pass_us,
                 per_query_us: pass_us / q as f64,
-                dest_stream_bytes_per_pass: snap.dest_stream_bytes_read / MEASURED_PASSES as u64,
-                bins_decoded_per_pass: snap.bins_decoded / MEASURED_PASSES as u64,
-                varint_decodes_per_pass: snap.varint_decodes / MEASURED_PASSES as u64,
+                dest_stream_bytes_per_pass: dest_bytes / passes as u64,
             });
         }
     }
-    tm.set_enabled(false);
 
     println!(
         "multiquery sweep — rmat scale {SCALE} ef {EDGE_FACTOR} seed {SEED} \
@@ -113,24 +109,18 @@ fn main() {
         g.num_edges()
     );
     println!(
-        "{:<8} {:>4} {:>12} {:>14} {:>16} {:>12} {:>14}",
-        "format", "Q", "pass(us)", "per-query(us)", "dest(B/pass)", "bins/pass", "varints/pass"
+        "{:<8} {:>4} {:>12} {:>14} {:>16}",
+        "format", "Q", "pass(us)", "per-query(us)", "dest(B/pass)"
     );
     for r in &rows {
         println!(
-            "{:<8} {:>4} {:>12.1} {:>14.1} {:>16} {:>12} {:>14}",
-            r.format,
-            r.q,
-            r.pass_us,
-            r.per_query_us,
-            r.dest_stream_bytes_per_pass,
-            r.bins_decoded_per_pass,
-            r.varint_decodes_per_pass
+            "{:<8} {:>4} {:>12.1} {:>14.1} {:>16}",
+            r.format, r.q, r.pass_us, r.per_query_us, r.dest_stream_bytes_per_pass
         );
     }
 
-    // The amortization claim, per format: the destID stream (and the
-    // per-edge decode work) is paid once per pass regardless of Q.
+    // The amortization claim, per format: the destID stream is paid
+    // once per pass regardless of Q.
     for format in BinFormatKind::ALL {
         let at = |q: usize| -> &Row {
             rows.iter()
@@ -146,11 +136,6 @@ fn main() {
                  (bound {DEST_BYTES_SLACK}x)"
             );
         }
-        assert_eq!(
-            at(1).bins_decoded_per_pass,
-            at(8).bins_decoded_per_pass,
-            "{format}: bins decoded per pass must not scale with Q"
-        );
     }
 
     let mut json = String::from("{\n");
@@ -167,15 +152,12 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"format\": \"{}\", \"q\": {}, \"pass_us\": {:.3}, \
-             \"per_query_us\": {:.3}, \"dest_stream_bytes_per_pass\": {}, \
-             \"bins_decoded_per_pass\": {}, \"varint_decodes_per_pass\": {}}}{}\n",
+             \"per_query_us\": {:.3}, \"dest_stream_bytes_per_pass\": {}}}{}\n",
             r.format,
             r.q,
             r.pass_us,
             r.per_query_us,
             r.dest_stream_bytes_per_pass,
-            r.bins_decoded_per_pass,
-            r.varint_decodes_per_pass,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

@@ -25,6 +25,14 @@
 //! The BVGAS and grid baselines implement [`Backend`] in
 //! `pcpm-baselines` and plug in through [`Engine::from_backend`].
 //!
+//! Each engine owns its run's counts: [`Engine::report`] returns them as
+//! one [`ExecutionReport`] (steps, phase times, destID bytes, batched
+//! passes, pool jobs), and [`Engine::update`] returns the repair split.
+//! Pools are not the engine's: an engine with a thread count runs on
+//! the process-wide [`shared_pool`](crate::config::shared_pool) for
+//! that count, so building, rebuilding or dropping engines never spawns
+//! or joins worker threads after the first engine of each count.
+//!
 //! # Examples
 //!
 //! ```
@@ -254,12 +262,10 @@ pub struct ExecutionReport {
     /// Bytes of the destID bin stream one gather pass scans, for
     /// backends with message bins ([`BackendMetrics::dest_stream_bytes`]).
     pub dest_stream_bytes: Option<u64>,
-    /// Rayon workers spawned process-wide since this engine was
-    /// constructed (`rayon::diagnostics`). Includes other engines'
-    /// pools when several coexist.
-    pub pool_workers_spawned: u64,
-    /// Rayon jobs dispatched process-wide since this engine was
-    /// constructed (`rayon::diagnostics`).
+    /// Pool jobs this engine's [`Engine::step`] and [`Engine::step_many`]
+    /// calls dispatched to worker threads (parallel ops run inline on a
+    /// 1-thread pool and are not counted). Exact per engine, however
+    /// many engines share the pool.
     pub pool_jobs_dispatched: u64,
     /// Multi-query passes executed through [`Engine::step_many`]. Each
     /// counts once in [`Self::steps`] however many queries it carried.
@@ -334,9 +340,13 @@ pub struct Engine<A: Algebra> {
     backend: Box<dyn Backend<A>>,
     num_src: u32,
     num_dst: u32,
-    /// Engine-owned thread pool, built once when `PcpmConfig::threads`
-    /// is set; preprocessing and every step install into it.
+    /// The shared pool for `PcpmConfig::threads`
+    /// ([`shared_pool`](crate::config::shared_pool)), when set;
+    /// preprocessing and every step install into it.
     pool: Option<Arc<rayon::ThreadPool>>,
+    /// Pool jobs dispatched by this engine's steps (see
+    /// [`ExecutionReport::pool_jobs_dispatched`]).
+    jobs_dispatched: u64,
     steps: usize,
     timings: PhaseTimings,
     /// Multi-query passes and the query vectors they carried
@@ -359,19 +369,6 @@ pub struct Engine<A: Algebra> {
     /// Snapshot load wall-clock when the engine was rehydrated through
     /// [`Engine::from_snapshot`] instead of `prepare`.
     snapshot_load: Option<Duration>,
-    /// `rayon::diagnostics` (workers_spawned, jobs_dispatched) at
-    /// construction; [`Engine::report`] subtracts it so pool behaviour
-    /// shows up in the same report as kernel timings.
-    diag_base: (u64, u64),
-}
-
-/// The process-wide rayon diagnostics counters an engine baselines at
-/// construction.
-fn pool_diagnostics() -> (u64, u64) {
-    (
-        rayon::diagnostics::workers_spawned() as u64,
-        rayon::diagnostics::jobs_dispatched() as u64,
-    )
 }
 
 /// The retained build inputs behind [`Engine::save_snapshot`].
@@ -391,19 +388,6 @@ struct BuildRecipe {
     /// Whether the engine was prepared with edge weights — updates must
     /// keep the same weightedness.
     weighted: bool,
-}
-
-/// Builds the engine-owned pool for an explicit thread count.
-fn build_pool(threads: Option<usize>) -> Result<Option<Arc<rayon::ThreadPool>>, PcpmError> {
-    threads
-        .map(|t| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .map(Arc::new)
-                .map_err(|_| PcpmError::BadConfig("failed to build the engine thread pool"))
-        })
-        .transpose()
 }
 
 impl<A: Algebra> Engine<A> {
@@ -435,17 +419,16 @@ impl<A: Algebra> Engine<A> {
     /// Wraps an externally prepared backend (e.g. the BVGAS or grid
     /// implementations in `pcpm-baselines`).
     ///
-    /// When the backend still needs to be prepared, prefer
-    /// [`Engine::from_backend_with`]: it builds the engine-owned pool
-    /// *first* and runs `prepare` on it, so preprocessing and every
-    /// later step share one pool instead of spawning a throwaway pool
-    /// for the prepare.
+    /// The engine steps on the caller's ambient pool; to pin a thread
+    /// count, use [`Engine::from_backend_with`], which also runs
+    /// `prepare` on that pool.
     pub fn from_backend(backend: Box<dyn Backend<A>>, num_src: u32, num_dst: u32) -> Self {
         Self {
             backend,
             num_src,
             num_dst,
             pool: None,
+            jobs_dispatched: 0,
             steps: 0,
             timings: PhaseTimings::default(),
             batch_passes: 0,
@@ -453,23 +436,20 @@ impl<A: Algebra> Engine<A> {
             recipe: None,
             source: None,
             snapshot_load: None,
-            diag_base: pool_diagnostics(),
         }
     }
 
-    /// Builds an engine around an externally prepared backend with one
-    /// engine-owned pool for its whole lifetime: the pool is constructed
-    /// first, `prepare` runs installed on it, and every subsequent step
-    /// reuses it. This is the churn-free counterpart of
-    /// `from_backend(..).with_threads(..)`, which spawned one pool for
-    /// the prepare and a second for the steps.
+    /// Builds an engine around an externally prepared backend on the
+    /// shared pool for `threads` ([`shared_pool`](crate::config::shared_pool);
+    /// `None` = the ambient pool): `prepare` runs installed on it, and
+    /// every subsequent step reuses it.
     pub fn from_backend_with(
         threads: Option<usize>,
         num_src: u32,
         num_dst: u32,
         prepare: impl FnOnce() -> Result<Box<dyn Backend<A>>, PcpmError> + Send,
     ) -> Result<Self, PcpmError> {
-        let pool = build_pool(threads)?;
+        let pool = threads.map(crate::config::shared_pool);
         let backend = match &pool {
             Some(p) => p.install(prepare)?,
             None => prepare()?,
@@ -480,15 +460,12 @@ impl<A: Algebra> Engine<A> {
         })
     }
 
-    /// Pins every subsequent step to a pool of `threads` workers
-    /// (`None` restores the ambient global pool). The builder does this
-    /// automatically from `PcpmConfig::threads`; external-backend
-    /// constructors that already prepared their backend call it
-    /// explicitly (prefer [`Engine::from_backend_with`] when the
-    /// prepare still lies ahead).
-    pub fn with_threads(mut self, threads: Option<usize>) -> Result<Self, PcpmError> {
-        self.pool = build_pool(threads)?;
-        Ok(self)
+    /// Worker threads this engine's steps run on: its shared pool's
+    /// size, or the ambient pool's when no thread count was configured.
+    pub fn threads(&self) -> usize {
+        self.pool
+            .as_ref()
+            .map_or_else(rayon::current_num_threads, |p| p.current_num_threads())
     }
 
     /// Number of source nodes (length of `x`).
@@ -516,7 +493,7 @@ impl<A: Algebra> Engine<A> {
         self.source.as_ref().and_then(|s| s.weights.as_deref())
     }
 
-    /// Runs `op` on the engine-owned thread pool (inline when no
+    /// Runs `op` on the engine's thread pool (inline when no
     /// explicit thread count was configured), lending it mutable access
     /// to the engine. The algorithm drivers wrap their whole iteration
     /// loop in this, so step, apply and convergence phases all execute
@@ -538,8 +515,8 @@ impl<A: Algebra> Engine<A> {
     /// One propagation round through the backend dataplane.
     ///
     /// When `PcpmConfig::threads` was set, the round runs on the
-    /// engine-owned pool (built once at construction — no per-step pool
-    /// setup); otherwise on the caller's ambient pool. Inside
+    /// engine's shared pool (looked up once at construction — no
+    /// per-step pool setup); otherwise on the caller's ambient pool. Inside
     /// [`Engine::run`] the round inherits the already-installed pool.
     pub fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
         if x.len() != self.num_src as usize {
@@ -555,16 +532,13 @@ impl<A: Algebra> Engine<A> {
             });
         }
         let _span = crate::telemetry::span_n("step", self.steps as u64);
-        let tm = crate::telemetry::counters();
-        let jobs0 = tm.is_enabled().then(rayon::diagnostics::jobs_dispatched);
+        let jobs0 = rayon::diagnostics::jobs_dispatched_by_this_thread();
         let backend = &mut self.backend;
         let t = match &self.pool {
             Some(pool) => pool.install(|| backend.step(x, y))?,
             None => backend.step(x, y)?,
         };
-        if let Some(jobs0) = jobs0 {
-            tm.add_pool_jobs_dispatched((rayon::diagnostics::jobs_dispatched() - jobs0) as u64);
-        }
+        self.count_jobs_since(jobs0);
         self.steps += 1;
         self.timings += t;
         Ok(t)
@@ -614,23 +588,27 @@ impl<A: Algebra> Engine<A> {
             return Ok(PhaseTimings::default());
         }
         let _span = crate::telemetry::span_n("step_many", xs.len() as u64);
-        let tm = crate::telemetry::counters();
-        let jobs0 = tm.is_enabled().then(rayon::diagnostics::jobs_dispatched);
+        let jobs0 = rayon::diagnostics::jobs_dispatched_by_this_thread();
         let backend = &mut self.backend;
         let t = match &self.pool {
             Some(pool) => pool.install(|| backend.step_many(xs, ys))?,
             None => backend.step_many(xs, ys)?,
         };
-        if let Some(jobs0) = jobs0 {
-            tm.add_pool_jobs_dispatched((rayon::diagnostics::jobs_dispatched() - jobs0) as u64);
-        }
-        tm.add_batched_passes(1);
-        tm.add_batched_queries(xs.len() as u64);
+        self.count_jobs_since(jobs0);
         self.steps += 1;
         self.batch_passes += 1;
         self.batch_queries += xs.len();
         self.timings += t;
         Ok(t)
+    }
+
+    /// Adds the pool jobs this thread dispatched since `jobs0` (read
+    /// before a step) to the engine's count. The step ran on this
+    /// thread (`install` runs its closure on the caller) and nested ops
+    /// run inline, so the difference is exactly the step's own jobs.
+    fn count_jobs_since(&mut self, jobs0: usize) {
+        let jobs = rayon::diagnostics::jobs_dispatched_by_this_thread() - jobs0;
+        self.jobs_dispatched += jobs as u64;
     }
 
     /// Absorbs a batch of edge changes, handing the backend the
@@ -761,7 +739,6 @@ impl<A: Algebra> Engine<A> {
     /// The uniform execution report (preprocess + accumulated timings).
     pub fn report(&self) -> ExecutionReport {
         let m = self.backend.metrics();
-        let (workers, jobs) = pool_diagnostics();
         ExecutionReport {
             backend: m.name,
             steps: self.steps,
@@ -774,8 +751,7 @@ impl<A: Algebra> Engine<A> {
             loaded_from_snapshot: self.snapshot_load.is_some(),
             snapshot_load: self.snapshot_load,
             dest_stream_bytes: m.dest_stream_bytes,
-            pool_workers_spawned: workers.saturating_sub(self.diag_base.0),
-            pool_jobs_dispatched: jobs.saturating_sub(self.diag_base.1),
+            pool_jobs_dispatched: self.jobs_dispatched,
             batch_passes: self.batch_passes,
             batch_queries: self.batch_queries,
             kernel: m.kernel,
@@ -877,7 +853,8 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
     }
 
     /// Sets an explicit thread count: pre-processing and every step run
-    /// on an engine-owned pool of this size.
+    /// on the process-wide shared pool of this size
+    /// ([`shared_pool`](crate::config::shared_pool)).
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = Some(threads);
         self
@@ -954,7 +931,7 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
         };
         // One pool for the engine's whole lifetime: preprocessing runs
         // on it here, every step installs into it later.
-        let pool = build_pool(self.cfg.threads)?;
+        let pool = self.cfg.threads.map(crate::config::shared_pool);
         let prepare = || prepare_builtin::<A>(self.backend, &spec);
         let backend = match &pool {
             Some(p) => p.install(prepare)?,
@@ -974,6 +951,7 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
             num_src: self.graph.num_nodes(),
             num_dst: self.graph.num_nodes(),
             pool,
+            jobs_dispatched: 0,
             steps: 0,
             timings: PhaseTimings::default(),
             batch_passes: 0,
@@ -987,7 +965,6 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
             }),
             source,
             snapshot_load: None,
-            diag_base: pool_diagnostics(),
         })
     }
 
@@ -1060,8 +1037,8 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         Ok(self)
     }
 
-    /// Rehydrates the engine: one engine-owned pool (when threads are
-    /// pinned), a PCPM backend adopting the snapshot's PNG and bins,
+    /// Rehydrates the engine: the shared pool for the pinned thread
+    /// count (if any), a PCPM backend adopting the snapshot's PNG and bins,
     /// and a build recipe matching the snapshot's configuration — so
     /// [`Engine::update`] and a later [`Engine::save_snapshot`] work
     /// exactly as on a cold-built engine.
@@ -1079,13 +1056,14 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         }
         let n = graph.num_nodes();
         let weighted = weights.is_some();
-        let pool = build_pool(cfg.threads)?;
+        let pool = cfg.threads.map(crate::config::shared_pool);
         let backend = boxed_backend_from_state::<A>(n, png, bins, load)?;
         Ok(Engine {
             backend,
             num_src: n,
             num_dst: n,
             pool,
+            jobs_dispatched: 0,
             steps: 0,
             timings: PhaseTimings::default(),
             batch_passes: 0,
@@ -1099,7 +1077,6 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
             }),
             source: Some(EngineSource { graph, weights }),
             snapshot_load: Some(load),
-            diag_base: pool_diagnostics(),
         })
     }
 }

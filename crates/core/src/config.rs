@@ -1,7 +1,13 @@
-//! Engine configuration.
+//! Engine configuration, and the worker pools engines run on.
+//!
+//! [`PcpmConfig::threads`] picks a pool by thread count: one pool per
+//! count for the whole process ([`shared_pool`]), shared by every engine
+//! and baseline driver that asks for that count. Nothing else builds a
+//! pool for an explicit thread count.
 
 use crate::error::PcpmError;
 use crate::format::BinFormatKind;
+use std::sync::{Arc, OnceLock, PoisonError};
 
 /// Size of one PageRank / update value in bytes (the paper uses 4-byte
 /// values and indices throughout, §5.1).
@@ -43,9 +49,11 @@ pub struct PcpmConfig {
     /// partitions at 2^15 nodes), or delta-encoded varints
     /// (`--format delta`).
     pub bin_format: BinFormatKind,
-    /// Thread count for the engine-owned worker pool (prepare, every
-    /// step and incremental repair run on it); `None` uses the ambient
-    /// global pool. Engine backends produce bit-identical results for
+    /// Thread count of the worker pool the engine runs on (prepare,
+    /// every step and incremental repair): the process-wide
+    /// [`shared_pool`] for that count, shared with every other engine
+    /// and driver configured the same; `None` uses the ambient global
+    /// pool. Engine backends produce bit-identical results for
     /// any value (see the rayon shim's determinism contract); the one
     /// exception is the atomic-accumulation `push_pagerank` baseline
     /// driver in `pcpm-baselines`.
@@ -137,27 +145,31 @@ impl PcpmConfig {
     }
 }
 
+/// The memoized pools behind [`shared_pool`], one per thread count.
+type PoolCache = std::sync::Mutex<std::collections::BTreeMap<usize, Arc<rayon::ThreadPool>>>;
+
+fn pool_cache() -> &'static PoolCache {
+    static POOLS: OnceLock<PoolCache> = OnceLock::new();
+    POOLS.get_or_init(PoolCache::default)
+}
+
 /// Returns the process-wide shared worker pool for `threads`, building
 /// it on first request and reusing it for every later one.
 ///
-/// This is the fix for per-call pool churn: [`run_with_threads`] used to
-/// build and tear down a brand-new pool (spawning and joining `threads`
-/// OS threads) on **every** invocation — once per baseline-driver run,
-/// once per prepare — which is exactly wrong for a serving deployment.
-/// Pools returned here live for the process; workers for a given thread
-/// count are spawned once, ever.
+/// This is the one owner of explicit-thread-count pools: every
+/// [`Engine`](crate::Engine) built with `threads: Some(t)` and every
+/// baseline driver ([`run_with_threads`]) runs on the pool returned
+/// here, so workers for a given thread count are spawned once per
+/// process, however many engines are built, rebuilt or dropped.
+/// Engines sharing a pool take turns on it: the shim runs one parallel
+/// op per pool at a time, and a 1-thread pool runs everything inline on
+/// the caller.
 ///
-/// The unified [`Engine`](crate::Engine) is unaffected: it builds its
-/// own engine-owned pool at construction and reuses it for prepare and
-/// every step (one pool per engine, dropped with the engine).
-pub fn shared_pool(threads: usize) -> std::sync::Arc<rayon::ThreadPool> {
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-    static POOLS: OnceLock<Mutex<BTreeMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
-    let mut pools = POOLS
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .expect("pool cache lock");
+/// A panic while another thread held the cache lock cannot leave the
+/// map half-updated (each entry is one whole `Arc`, inserted in one
+/// step), so a poisoned lock is recovered rather than propagated.
+pub fn shared_pool(threads: usize) -> Arc<rayon::ThreadPool> {
+    let mut pools = pool_cache().lock().unwrap_or_else(PoisonError::into_inner);
     Arc::clone(pools.entry(threads).or_insert_with(|| {
         Arc::new(
             rayon::ThreadPoolBuilder::new()
@@ -245,15 +257,28 @@ mod tests {
     #[test]
     fn shared_pool_is_built_once_per_thread_count() {
         // Pool identity proves build-once/serve-many without racing on
-        // the process-global spawn counters (other tests spawn their
-        // own engine pools concurrently).
+        // the process-global spawn counters.
         let a = shared_pool(3);
         let b = shared_pool(3);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "same pool on every call");
+        assert!(Arc::ptr_eq(&a, &b), "same pool on every call");
         let c = shared_pool(2);
-        assert!(!std::sync::Arc::ptr_eq(&a, &c), "per-thread-count pools");
+        assert!(!Arc::ptr_eq(&a, &c), "per-thread-count pools");
         assert_eq!(a.current_num_threads(), 3);
         // And the memoized pool actually runs work.
         assert_eq!(run_with_threads(Some(3), || 6 * 7), 42);
+    }
+
+    #[test]
+    fn shared_pool_survives_a_poisoned_cache_lock() {
+        let before = shared_pool(3);
+        let poisoner = std::thread::spawn(|| {
+            let _held = pool_cache().lock();
+            panic!("panic while holding the pool cache lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(pool_cache().is_poisoned());
+        let after = shared_pool(3);
+        assert!(Arc::ptr_eq(&before, &after), "cache entries survive");
+        assert_eq!(shared_pool(2).current_num_threads(), 2);
     }
 }

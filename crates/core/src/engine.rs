@@ -69,7 +69,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     ///
     /// Runs on the caller's current rayon pool — the unified
     /// [`Engine`](crate::backend::Engine) builder installs its
-    /// engine-owned pool around this, so no nested pool is created.
+    /// pool around this, so no nested pool is created.
     pub(crate) fn from_view(
         view: EdgeView<'_>,
         cfg: &PcpmConfig,
@@ -233,18 +233,10 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         );
         // Repair is (re-)pre-processing: fold it into the reported cost.
         self.preprocess += t0.elapsed();
-        let stats = RepairStats {
+        Ok(RepairStats {
             partitions_rebuilt: touched_parts.len() as u32,
             partitions_total: k,
-        };
-        let tm = crate::telemetry::counters();
-        tm.add_partitions_repaired(u64::from(stats.partitions_rebuilt));
-        tm.add_partitions_copied(u64::from(
-            stats
-                .partitions_total
-                .saturating_sub(stats.partitions_rebuilt),
-        ));
-        Ok(stats)
+        })
     }
 
     /// One `y = ⊕ Aᵀ·x` round with explicit phase variants.
@@ -300,18 +292,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             }
         }
         let gather_t = t1.elapsed();
-        // Phase-call-granularity counters from analytically known
-        // quantities: one relaxed add each, nothing per edge. The gather
-        // scans the whole destID stream once; the delta format decodes
-        // one varint per destID entry (= raw edge).
-        let tm = crate::telemetry::counters();
-        if tm.is_enabled() {
-            tm.add_scatter_ns(scatter_t.as_nanos() as u64);
-            tm.add_gather_ns(gather_t.as_nanos() as u64);
-            tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
-            tm.add_bins_decoded(u64::from(self.png.dst_parts().num_partitions()));
-            self.record_decode_counters();
-        }
         Ok(PhaseTimings {
             scatter: scatter_t,
             gather: gather_t,
@@ -382,41 +362,11 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             gather_node_major::<A, _>(&self.png, &self.bins, &upd, lanes, ys);
         }
         let gather_t = t1.elapsed();
-        // The batched pass scans the destID stream (and decodes delta
-        // varints) exactly once however many queries it carries — that
-        // is the amortization these counters make observable.
-        let tm = crate::telemetry::counters();
-        if tm.is_enabled() {
-            tm.add_scatter_ns(scatter_t.as_nanos() as u64);
-            tm.add_gather_ns(gather_t.as_nanos() as u64);
-            tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
-            tm.add_bins_decoded(u64::from(self.png.dst_parts().num_partitions()));
-            self.record_decode_counters();
-        }
         Ok(PhaseTimings {
             scatter: scatter_t,
             gather: gather_t,
             apply: Duration::ZERO,
         })
-    }
-
-    /// Delta-decode telemetry, recorded once per gather pass from
-    /// analytically known quantities (the caller has already checked
-    /// `is_enabled`): one varint per raw edge, batch-decoded one segment
-    /// per (src, dst) partition pair into an 8-bytes-per-entry scratch
-    /// buffer. The fixed-width formats decode nothing.
-    fn record_decode_counters(&self) {
-        if F::KIND != BinFormatKind::Delta {
-            return;
-        }
-        let tm = crate::telemetry::counters();
-        let edges = self.png.num_raw_edges();
-        tm.add_varint_decodes(edges);
-        tm.add_kernel_segments_decoded(
-            u64::from(self.png.src_parts().num_partitions())
-                * u64::from(self.png.dst_parts().num_partitions()),
-        );
-        tm.add_kernel_scratch_bytes(std::mem::size_of::<u64>() as u64 * edges);
     }
 }
 

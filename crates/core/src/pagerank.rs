@@ -140,7 +140,7 @@ pub fn pagerank_with_unified_engine(
     }
     cfg.validate()?;
     let report = engine.report();
-    // The whole loop runs on the engine-owned pool: step, apply and
+    // The whole loop runs on the engine's pool: step, apply and
     // dangling phases share it, keeping thread-pinned runs deterministic.
     let core = engine.run(|engine| iterate(graph, cfg, initial, |x, y| engine.step(x, y)))?;
     Ok(assemble(core, report.preprocess, report.compression_ratio))

@@ -128,8 +128,7 @@ impl SpmvMatrix {
     /// ```
     pub fn engine(&self, cfg: &PcpmConfig) -> Result<Engine<PlusF32>, PcpmError> {
         cfg.validate()?;
-        // One engine-owned pool for prepare and every step (the old
-        // run_with_threads + with_threads pairing built two pools).
+        // One pool for prepare and every step.
         Engine::from_backend_with(cfg.threads, self.num_cols, self.num_rows, || {
             PcpmPipeline::from_view(self.view(), cfg, Some(&self.values))
                 .map(PcpmPipeline::into_boxed_backend)

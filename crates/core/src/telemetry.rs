@@ -1,49 +1,31 @@
-//! Workspace-wide lightweight telemetry: relaxed atomic kernel counters
-//! and span timers with a Chrome-trace exporter.
+//! Workspace-wide lightweight telemetry: span timers with a
+//! Chrome-trace exporter, and the one sanctioned wall-clock handle.
 //!
 //! The paper's whole argument is quantitative — PCPM wins because the
 //! destID bin stream is DRAM-bandwidth-bound — so the reproduction must
-//! be able to measure that from *inside* a run. This module provides the
-//! two primitives every later perf PR reports against:
+//! be able to measure that from *inside* a run. Per-run counts (destID
+//! bytes scanned, phase wall-clock, batched passes, repaired
+//! partitions, pool jobs) have one owner: the engine that did the work,
+//! through [`ExecutionReport`](crate::ExecutionReport) and the
+//! [`RepairStats`](crate::update::RepairStats) every `Engine::update`
+//! returns. This module adds the two things a report cannot carry:
 //!
-//! 1. **Counters** ([`counters`]): a process-global registry of relaxed
-//!    [`AtomicU64`]s with a stable taxonomy (see [`CounterSnapshot`]).
-//!    Recording is gated on a single relaxed [`AtomicBool`] load — when
-//!    telemetry is disabled (the default) every `add_*` call is one
-//!    predictable never-taken branch and **no atomic write happens**, so
-//!    the hot scatter/gather loops pay nothing measurable. Counters are
-//!    recorded at *phase-call* granularity from analytically known
-//!    quantities (bin-stream byte lengths, partition counts, edge
-//!    counts), never per edge inside a kernel loop.
-//! 2. **Spans** ([`span`]): RAII wall-clock timers that, while a trace
-//!    collection is active ([`start_tracing`]), append complete events
-//!    to a global buffer. [`write_chrome_trace`] serializes the buffer
-//!    as Chrome-trace-format JSON (`chrome://tracing` / Perfetto); the
+//! 1. **Spans** ([`span`]): RAII wall-clock timers. While the calling
+//!    thread collects a trace ([`start_tracing`]), every span that
+//!    thread opens is appended to its own thread-local buffer;
+//!    [`stop_tracing`] hands the buffer back. Spans opened on any other
+//!    thread are not part of that trace, so concurrent runs (tests,
+//!    serve workers) never leak into each other's traces. Every engine
+//!    span is opened on the thread that calls the engine: the rayon
+//!    shim's `install` runs its closure on the caller, and pool workers
+//!    open no spans. [`write_chrome_trace`] serializes a trace as
+//!    Chrome-trace-format JSON (`chrome://tracing` / Perfetto); the
 //!    `pcpm --trace-out FILE` flag is the CLI surface.
+//! 2. **Stopwatches** ([`stopwatch`]): see *Wall-clock discipline*.
 //!
-//! Both primitives are `std`-only and safe (`pcpm-core` forbids
-//! `unsafe`); neither allocates unless enabled.
-//!
-//! # Counter taxonomy
-//!
-//! | counter | meaning | recorded by |
-//! | --- | --- | --- |
-//! | `dest_stream_bytes_read` | bytes of the destID bin stream scanned by gather passes | one add per gather |
-//! | `bins_decoded` | per-partition bin streams decoded by gather passes | one add per gather (`k`) |
-//! | `varint_decodes` | per-edge LEB128 decodes (delta format only) | one add per gather |
-//! | `scatter_ns` / `gather_ns` | wall-clock of the two PCPM phases | one add per step |
-//! | `partitions_repaired` / `partitions_copied` | incremental-repair split: bins rebuilt vs block-copied | one add per `Engine::update` |
-//! | `pool_jobs_dispatched` | rayon-shim jobs dispatched while inside `Engine::step` | one add per step |
-//! | `batched_passes` | multi-query (SpMM) passes executed | one add per `Engine::step_many` |
-//! | `batched_queries` | query vectors served by those passes | one add per `Engine::step_many` (`Q`) |
-//! | `kernel_segments_decoded` | bin segments batch-decoded by the delta gather | one add per gather (`k²`) |
-//! | `kernel_scratch_bytes` | bytes round-tripped through the delta gather's decode scratch | one add per gather |
-//!
-//! The batched pair is the amortization measurement: a batched pass
-//! records `dest_stream_bytes_read` **once** however many query vectors
-//! it carries, so `dest_stream_bytes_read / batched_passes` staying flat
-//! as `batched_queries / batched_passes` grows is the multi-query win
-//! made observable.
+//! Both are `std`-only and safe (`pcpm-core` forbids `unsafe`); a span
+//! opened while its thread is not tracing is one thread-local read and
+//! allocates nothing.
 //!
 //! # Span taxonomy
 //!
@@ -79,213 +61,22 @@
 //! ```
 //! use pcpm_core::telemetry;
 //!
-//! telemetry::counters().set_enabled(true);
-//! telemetry::counters().reset();
-//! telemetry::counters().add_dest_stream_bytes_read(4096);
-//! let snap = telemetry::counters().snapshot();
-//! assert_eq!(snap.dest_stream_bytes_read, 4096);
-//! telemetry::counters().set_enabled(false);
+//! telemetry::start_tracing();
+//! {
+//!     let _step = telemetry::span_n("step", 0);
+//! }
+//! let events = telemetry::stop_tracing();
+//! assert_eq!(events.len(), 1);
+//! assert_eq!(events[0].arg, Some(0));
 //! ```
 
+use std::cell::RefCell;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// The process-global counter registry.
-///
-/// All reads and writes use [`Ordering::Relaxed`]: counters are
-/// monotonic sums with no ordering relationship to each other, and a
-/// [`snapshot`](Counters::snapshot) is only ever read for reporting
-/// (between phases, or after a run), never to synchronize.
-#[derive(Debug)]
-pub struct Counters {
-    enabled: AtomicBool,
-    dest_stream_bytes_read: AtomicU64,
-    bins_decoded: AtomicU64,
-    varint_decodes: AtomicU64,
-    scatter_ns: AtomicU64,
-    gather_ns: AtomicU64,
-    partitions_repaired: AtomicU64,
-    partitions_copied: AtomicU64,
-    pool_jobs_dispatched: AtomicU64,
-    batched_passes: AtomicU64,
-    batched_queries: AtomicU64,
-    kernel_segments_decoded: AtomicU64,
-    kernel_scratch_bytes: AtomicU64,
-}
-
-/// A point-in-time copy of every counter (see the module-level taxonomy
-/// table for what each one means).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Bytes of the destID bin stream scanned by gather passes.
-    pub dest_stream_bytes_read: u64,
-    /// Per-partition bin streams decoded by gather passes.
-    pub bins_decoded: u64,
-    /// Per-edge LEB128 varint decodes (delta format only).
-    pub varint_decodes: u64,
-    /// Cumulative wall-clock of scatter phases, nanoseconds.
-    pub scatter_ns: u64,
-    /// Cumulative wall-clock of gather phases, nanoseconds.
-    pub gather_ns: u64,
-    /// Source partitions whose bins were rebuilt by incremental repair.
-    pub partitions_repaired: u64,
-    /// Source partitions whose bins were block-copied untouched.
-    pub partitions_copied: u64,
-    /// Rayon-shim jobs dispatched while inside `Engine::step`.
-    pub pool_jobs_dispatched: u64,
-    /// Multi-query (SpMM) passes executed through `Engine::step_many`.
-    pub batched_passes: u64,
-    /// Query vectors served by those batched passes.
-    pub batched_queries: u64,
-    /// Bin segments batch-decoded by the delta gather.
-    pub kernel_segments_decoded: u64,
-    /// Bytes round-tripped through the delta gather's decode scratch
-    /// buffer (8 bytes per decoded entry).
-    pub kernel_scratch_bytes: u64,
-}
-
-impl CounterSnapshot {
-    /// Total counter traffic — the sum of every counter. Zero iff
-    /// nothing was recorded (the disabled-path invariant the tests
-    /// assert).
-    pub fn total(&self) -> u64 {
-        self.dest_stream_bytes_read
-            + self.bins_decoded
-            + self.varint_decodes
-            + self.scatter_ns
-            + self.gather_ns
-            + self.partitions_repaired
-            + self.partitions_copied
-            + self.pool_jobs_dispatched
-            + self.batched_passes
-            + self.batched_queries
-            + self.kernel_segments_decoded
-            + self.kernel_scratch_bytes
-    }
-}
-
-macro_rules! counter_adders {
-    ($($(#[$doc:meta])* $name:ident => $field:ident),+ $(,)?) => {
-        $(
-            $(#[$doc])*
-            #[inline]
-            pub fn $name(&self, v: u64) {
-                if self.enabled.load(Ordering::Relaxed) {
-                    self.$field.fetch_add(v, Ordering::Relaxed);
-                }
-            }
-        )+
-    };
-}
-
-impl Counters {
-    const fn new() -> Self {
-        Self {
-            enabled: AtomicBool::new(false),
-            dest_stream_bytes_read: AtomicU64::new(0),
-            bins_decoded: AtomicU64::new(0),
-            varint_decodes: AtomicU64::new(0),
-            scatter_ns: AtomicU64::new(0),
-            gather_ns: AtomicU64::new(0),
-            partitions_repaired: AtomicU64::new(0),
-            partitions_copied: AtomicU64::new(0),
-            pool_jobs_dispatched: AtomicU64::new(0),
-            batched_passes: AtomicU64::new(0),
-            batched_queries: AtomicU64::new(0),
-            kernel_segments_decoded: AtomicU64::new(0),
-            kernel_scratch_bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// Turns counter recording on or off (process-wide). Off by
-    /// default; while off, every `add_*` is a single relaxed load plus
-    /// a never-taken branch.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether counter recording is currently on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Zeroes every counter (the enabled flag is left alone).
-    pub fn reset(&self) {
-        self.dest_stream_bytes_read.store(0, Ordering::Relaxed);
-        self.bins_decoded.store(0, Ordering::Relaxed);
-        self.varint_decodes.store(0, Ordering::Relaxed);
-        self.scatter_ns.store(0, Ordering::Relaxed);
-        self.gather_ns.store(0, Ordering::Relaxed);
-        self.partitions_repaired.store(0, Ordering::Relaxed);
-        self.partitions_copied.store(0, Ordering::Relaxed);
-        self.pool_jobs_dispatched.store(0, Ordering::Relaxed);
-        self.batched_passes.store(0, Ordering::Relaxed);
-        self.batched_queries.store(0, Ordering::Relaxed);
-        self.kernel_segments_decoded.store(0, Ordering::Relaxed);
-        self.kernel_scratch_bytes.store(0, Ordering::Relaxed);
-    }
-
-    /// Copies every counter out.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            dest_stream_bytes_read: self.dest_stream_bytes_read.load(Ordering::Relaxed),
-            bins_decoded: self.bins_decoded.load(Ordering::Relaxed),
-            varint_decodes: self.varint_decodes.load(Ordering::Relaxed),
-            scatter_ns: self.scatter_ns.load(Ordering::Relaxed),
-            gather_ns: self.gather_ns.load(Ordering::Relaxed),
-            partitions_repaired: self.partitions_repaired.load(Ordering::Relaxed),
-            partitions_copied: self.partitions_copied.load(Ordering::Relaxed),
-            pool_jobs_dispatched: self.pool_jobs_dispatched.load(Ordering::Relaxed),
-            batched_passes: self.batched_passes.load(Ordering::Relaxed),
-            batched_queries: self.batched_queries.load(Ordering::Relaxed),
-            kernel_segments_decoded: self.kernel_segments_decoded.load(Ordering::Relaxed),
-            kernel_scratch_bytes: self.kernel_scratch_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    counter_adders! {
-        /// Adds gather-scanned destID-stream bytes.
-        add_dest_stream_bytes_read => dest_stream_bytes_read,
-        /// Adds decoded per-partition bin streams.
-        add_bins_decoded => bins_decoded,
-        /// Adds per-edge varint decodes (delta format).
-        add_varint_decodes => varint_decodes,
-        /// Adds scatter-phase wall-clock nanoseconds.
-        add_scatter_ns => scatter_ns,
-        /// Adds gather-phase wall-clock nanoseconds.
-        add_gather_ns => gather_ns,
-        /// Adds incrementally rebuilt source partitions.
-        add_partitions_repaired => partitions_repaired,
-        /// Adds block-copied (untouched) source partitions.
-        add_partitions_copied => partitions_copied,
-        /// Adds pool jobs dispatched during a step.
-        add_pool_jobs_dispatched => pool_jobs_dispatched,
-        /// Adds multi-query (SpMM) passes.
-        add_batched_passes => batched_passes,
-        /// Adds query vectors served by batched passes.
-        add_batched_queries => batched_queries,
-        /// Adds bin segments batch-decoded by the delta gather.
-        add_kernel_segments_decoded => kernel_segments_decoded,
-        /// Adds decode-scratch bytes round-tripped by the delta gather.
-        add_kernel_scratch_bytes => kernel_scratch_bytes,
-    }
-}
-
-static COUNTERS: Counters = Counters::new();
-
-/// The process-global counter registry.
-pub fn counters() -> &'static Counters {
-    &COUNTERS
-}
-
-// ---------------------------------------------------------------------------
-// Spans
-// ---------------------------------------------------------------------------
-
-/// One completed span: a named wall-clock interval on one thread,
-/// Chrome-trace "complete event" shaped (`ph: "X"`).
+/// One completed span: a named wall-clock interval on the tracing
+/// thread, Chrome-trace "complete event" shaped (`ph: "X"`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Span name (`prepare`, `step`, `scatter`, `gather`, …). Static
@@ -299,16 +90,12 @@ pub struct TraceEvent {
     pub ts_us: u64,
     /// Duration, microseconds.
     pub dur_us: u64,
-    /// Recording thread (small dense IDs handed out per thread).
-    pub tid: u64,
 }
 
-static TRACING: AtomicBool = AtomicBool::new(false);
-static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
 thread_local! {
-    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    /// This thread's trace: `Some` between [`start_tracing`] and
+    /// [`stop_tracing`] on this thread.
+    static TRACE: RefCell<Option<Vec<TraceEvent>>> = const { RefCell::new(None) };
 }
 
 /// The fixed time origin all span timestamps are relative to
@@ -322,41 +109,28 @@ fn now_us() -> u64 {
     trace_epoch().elapsed().as_micros() as u64
 }
 
-/// Starts collecting spans into the global trace buffer (the buffer is
-/// cleared first, so one collection never mixes with another).
+/// Starts collecting the spans this thread opens (an earlier,
+/// unstopped collection on this thread is discarded).
 pub fn start_tracing() {
-    if let Ok(mut ev) = EVENTS.lock() {
-        ev.clear();
-    }
     // Touch the epoch before enabling so every span shares one origin.
     let _ = trace_epoch();
-    TRACING.store(true, Ordering::Relaxed);
+    TRACE.with(|t| *t.borrow_mut() = Some(Vec::new()));
 }
 
-/// Stops collecting and returns every span recorded since
-/// [`start_tracing`].
+/// Stops this thread's collection and returns every span it recorded
+/// since [`start_tracing`] (empty when this thread was not tracing).
 pub fn stop_tracing() -> Vec<TraceEvent> {
-    TRACING.store(false, Ordering::Relaxed);
-    match EVENTS.lock() {
-        Ok(mut ev) => std::mem::take(&mut *ev),
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Whether a trace collection is currently active.
-pub fn is_tracing() -> bool {
-    TRACING.load(Ordering::Relaxed)
+    TRACE.with(|t| t.borrow_mut().take()).unwrap_or_default()
 }
 
 /// RAII span timer: records a [`TraceEvent`] covering its lifetime when
-/// dropped, if a collection was active when it was created. When
-/// tracing is off, construction is one relaxed load and drop is a
-/// no-op.
+/// dropped, if its thread was tracing when it was created (and still is
+/// when it is dropped).
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
     arg: Option<u64>,
-    /// `Some(start)` iff tracing was active at construction.
+    /// `Some(start)` iff this thread was tracing at construction.
     start_us: Option<u64>,
 }
 
@@ -369,11 +143,14 @@ impl Drop for SpanGuard {
                 arg: self.arg,
                 ts_us: start,
                 dur_us: end.saturating_sub(start),
-                tid: TID.with(|t| *t),
             };
-            if let Ok(mut ev) = EVENTS.lock() {
-                ev.push(event);
-            }
+            // `try_with`: a guard dropped while its thread's locals are
+            // being destroyed records nothing instead of panicking.
+            let _ = TRACE.try_with(|t| {
+                if let Some(events) = t.borrow_mut().as_mut() {
+                    events.push(event);
+                }
+            });
         }
     }
 }
@@ -432,11 +209,7 @@ pub fn span_n(name: &'static str, arg: u64) -> SpanGuard {
 }
 
 fn span_impl(name: &'static str, arg: Option<u64>) -> SpanGuard {
-    let start_us = if TRACING.load(Ordering::Relaxed) {
-        Some(now_us())
-    } else {
-        None
-    };
+    let start_us = TRACE.with(|t| t.borrow().is_some()).then(now_us);
     SpanGuard {
         name,
         arg,
@@ -445,8 +218,9 @@ fn span_impl(name: &'static str, arg: Option<u64>) -> SpanGuard {
 }
 
 /// Serializes spans as Chrome-trace-format JSON (an array of complete
-/// events; `ts`/`dur` in microseconds), the format `chrome://tracing`
-/// and Perfetto open directly.
+/// events; `ts`/`dur` in microseconds, one thread per trace, so every
+/// event carries `tid` 1), the format `chrome://tracing` and Perfetto
+/// open directly.
 pub fn write_chrome_trace<W: Write>(mut w: W, events: &[TraceEvent]) -> std::io::Result<()> {
     writeln!(w, "[")?;
     for (i, e) in events.iter().enumerate() {
@@ -454,13 +228,13 @@ pub fn write_chrome_trace<W: Write>(mut w: W, events: &[TraceEvent]) -> std::io:
         match e.arg {
             Some(n) => writeln!(
                 w,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"n\":{}}}}}{}",
-                e.name, e.tid, e.ts_us, e.dur_us, n, comma
+                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{\"n\":{}}}}}{}",
+                e.name, e.ts_us, e.dur_us, n, comma
             )?,
             None => writeln!(
                 w,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}{}",
-                e.name, e.tid, e.ts_us, e.dur_us, comma
+                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{}}}{}",
+                e.name, e.ts_us, e.dur_us, comma
             )?,
         }
     }
@@ -479,80 +253,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tests in this module (and engine tests elsewhere) share the
-    /// process-global registry; serialize the ones that reset or toggle
-    /// it.
-    fn lock_registry() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    #[test]
-    fn disabled_counters_record_zero_traffic() {
-        let _g = lock_registry();
-        counters().set_enabled(false);
-        counters().reset();
-        counters().add_dest_stream_bytes_read(10);
-        counters().add_bins_decoded(10);
-        counters().add_varint_decodes(10);
-        counters().add_scatter_ns(10);
-        counters().add_gather_ns(10);
-        counters().add_partitions_repaired(10);
-        counters().add_partitions_copied(10);
-        counters().add_pool_jobs_dispatched(10);
-        counters().add_batched_passes(10);
-        counters().add_batched_queries(10);
-        counters().add_kernel_segments_decoded(10);
-        counters().add_kernel_scratch_bytes(10);
-        assert_eq!(
-            counters().snapshot().total(),
-            0,
-            "disabled path must not write"
-        );
-    }
-
-    #[test]
-    fn concurrent_recording_loses_no_counts() {
-        let _g = lock_registry();
-        counters().set_enabled(true);
-        counters().reset();
-        const THREADS: usize = 8;
-        const PER_THREAD: u64 = 10_000;
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    for _ in 0..PER_THREAD {
-                        counters().add_dest_stream_bytes_read(1);
-                        counters().add_varint_decodes(2);
-                    }
-                });
-            }
-        });
-        let snap = counters().snapshot();
-        counters().set_enabled(false);
-        assert_eq!(snap.dest_stream_bytes_read, THREADS as u64 * PER_THREAD);
-        assert_eq!(snap.varint_decodes, 2 * THREADS as u64 * PER_THREAD);
-    }
-
-    #[test]
-    fn snapshot_reset_round_trip() {
-        let _g = lock_registry();
-        counters().set_enabled(true);
-        counters().reset();
-        counters().add_scatter_ns(5);
-        counters().add_gather_ns(7);
-        counters().add_partitions_repaired(2);
-        counters().add_partitions_copied(14);
-        let snap = counters().snapshot();
-        assert_eq!(snap.scatter_ns, 5);
-        assert_eq!(snap.gather_ns, 7);
-        assert_eq!(snap.partitions_repaired, 2);
-        assert_eq!(snap.partitions_copied, 14);
-        counters().reset();
-        assert_eq!(counters().snapshot(), CounterSnapshot::default());
-        counters().set_enabled(false);
-    }
 
     /// A minimal JSON reader sufficient to validate the Chrome-trace
     /// output: objects, arrays, strings, integers. Returns true iff the
@@ -632,7 +332,6 @@ mod tests {
 
     #[test]
     fn spans_nest_are_monotonic_and_serialize_to_valid_json() {
-        let _g = lock_registry();
         start_tracing();
         {
             let _outer = span_n("step", 0);
@@ -657,7 +356,6 @@ mod tests {
         for child in [scatter, gather] {
             assert!(child.ts_us >= step.ts_us);
             assert!(child.ts_us + child.dur_us <= step.ts_us + step.dur_us);
-            assert_eq!(child.tid, step.tid, "same thread");
         }
         // Monotonic: gather starts after scatter ends.
         assert!(gather.ts_us >= scatter.ts_us + scatter.dur_us);
@@ -673,11 +371,41 @@ mod tests {
 
     #[test]
     fn spans_are_noops_when_tracing_is_off() {
-        // No registry lock needed: this test never enables anything; it
-        // only asserts that guards created while off record nothing
-        // (even if another test's collection is running, a guard born
-        // disabled stays disabled).
         let g = span("never-recorded");
         assert!(g.start_us.is_none());
+        drop(g);
+        assert!(stop_tracing().is_empty(), "no collection was running");
+    }
+
+    /// A trace belongs to the thread that started it: while thread A
+    /// traces, spans opened on thread B stay out of A's trace, and a
+    /// guard created on B is born (and stays) disabled.
+    #[test]
+    fn a_trace_records_only_its_own_threads_spans() {
+        use std::sync::mpsc::channel;
+        let (started_tx, started_rx) = channel();
+        let (opened_tx, opened_rx) = channel();
+        let tracer = std::thread::spawn(move || {
+            start_tracing();
+            started_tx.send(()).unwrap();
+            opened_rx.recv().unwrap();
+            {
+                let _own = span("gather");
+            }
+            stop_tracing()
+        });
+        started_rx.recv().unwrap();
+        // Thread A is tracing now; B (this thread) opens spans of its own.
+        let other = span("scatter");
+        assert!(other.start_us.is_none(), "B is not tracing");
+        {
+            let _nested = span_n("step", 7);
+        }
+        drop(other);
+        opened_tx.send(()).unwrap();
+        let events = tracer.join().unwrap();
+        let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["gather"], "A's trace holds only A's span");
+        assert!(stop_tracing().is_empty(), "B collected nothing");
     }
 }

@@ -109,8 +109,10 @@ pub struct ServerConfig {
     /// Worker threads answering queries (each handles one connection at
     /// a time, run-to-completion).
     pub workers: usize,
-    /// Engine-owned thread-pool size for query execution (`None` =
-    /// ambient pool).
+    /// Thread count of the pool queries execute on (`None` = ambient
+    /// pool). Every worker's engines run on the one process-wide shared
+    /// pool of this size, taking turns on it for parallel ops; at 1 the
+    /// pool runs work inline on each worker, so nothing is serialized.
     pub threads: Option<usize>,
     /// When set, a second plain-TCP listener is bound here answering
     /// any HTTP GET with Prometheus text exposition.

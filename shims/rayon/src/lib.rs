@@ -168,6 +168,14 @@ pub mod diagnostics {
     pub fn jobs_dispatched() -> usize {
         crate::pool::JOBS_DISPATCHED.load(Ordering::Relaxed)
     }
+
+    /// Jobs the calling thread dispatched to worker pools since it
+    /// started. `ThreadPool::install` runs its closure on the caller and
+    /// nested ops run inline, so the difference across a call counts
+    /// exactly the jobs that call submitted, whatever other threads do.
+    pub fn jobs_dispatched_by_this_thread() -> usize {
+        crate::pool::JOBS_DISPATCHED_HERE.with(std::cell::Cell::get)
+    }
 }
 
 #[cfg(test)]
@@ -226,6 +234,24 @@ mod tests {
         });
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 * 3));
         assert!(super::diagnostics::jobs_dispatched() > before);
+    }
+
+    #[test]
+    fn per_thread_dispatch_count_ignores_other_threads() {
+        let pool = pool(2);
+        let work = || {
+            let here = super::diagnostics::jobs_dispatched_by_this_thread();
+            pool.install(|| (0u64..10_000).into_par_iter().sum::<u64>());
+            super::diagnostics::jobs_dispatched_by_this_thread() - here
+        };
+        let alone = work();
+        assert_eq!(alone, 1, "one chunked op is one job");
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(work);
+            let b = s.spawn(work);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!((a, b), (alone, alone));
     }
 
     #[test]

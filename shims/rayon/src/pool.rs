@@ -56,6 +56,9 @@ thread_local! {
     /// parallel ops then run inline instead of deadlocking on the
     /// submit lock.
     static JOB_ACTIVE: Cell<bool> = const { Cell::new(false) };
+    /// Jobs this thread handed to a worker pool: the per-submitter
+    /// share of [`JOBS_DISPATCHED`].
+    pub(crate) static JOBS_DISPATCHED_HERE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Default pool size: `RAYON_NUM_THREADS` when set and positive,
@@ -218,6 +221,7 @@ impl PoolShared {
         }
         self.work_cv.notify_all();
         JOBS_DISPATCHED.fetch_add(1, Ordering::Relaxed);
+        JOBS_DISPATCHED_HERE.with(|c| c.set(c.get() + 1));
         job
     }
 

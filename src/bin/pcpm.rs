@@ -24,14 +24,16 @@
 //!
 //! common flags: --binary (pcpm binary input) | --mtx (Matrix Market input)
 //!               --iters N --damping D --tolerance T --partition-bytes B
-//!               --threads N (engine-owned worker pool; default: ambient pool)
+//!               --threads N (shared worker pool of N threads; default:
+//!               ambient pool)
 //!               --top K (print only the K best rows)
 //!               --backend pcpm|pull|push|edge-centric (dataplane to run on)
 //!               --format wide|compact|delta (PCPM bin encoding; compact
 //!               caps partitions at 2^15 nodes, delta is unrestricted)
 //!               --seed S (every generator path is reproducible run-to-run)
-//!               --trace-out FILE (record telemetry spans, write
-//!               Chrome-trace JSON openable in chrome://tracing/Perfetto)
+//!               --trace-out FILE (record the command thread's telemetry
+//!               spans, write Chrome-trace JSON openable in
+//!               chrome://tracing/Perfetto)
 //!
 //! gen flags:         --kind rmat|er --scale S --edge-factor F (rmat)
 //!                    --nodes N --edges M (er)
@@ -41,7 +43,9 @@
 //!                    --update-format text|binary (binary = checksummed
 //!                    compact frames, read back transparently everywhere)
 //! serve flags:       --listen ADDR (default 127.0.0.1:7450)
-//!                    --workers N (query threads, default 4) --threads N
+//!                    --workers N (query threads, default 4)
+//!                    --threads N (engine pool size; all workers share
+//!                    one N-thread pool)
 //!                    --metrics-addr ADDR (second listener answering any
 //!                    HTTP GET with Prometheus text exposition)
 //! query flags:       --op health|stats|pagerank|ppr|bfs|sssp|update|shutdown
@@ -872,9 +876,8 @@ fn run() -> Result<(), String> {
     let opts = parse_args()?;
     let trace_out = opts.trace_out.clone();
     if trace_out.is_some() {
-        // Counters and spans are both armed for the whole command; the
-        // counters feed the report lines, the spans feed the trace file.
-        pcpm::core::telemetry::counters().set_enabled(true);
+        // Records the spans this thread opens for the whole command;
+        // `serve` worker threads are not traced.
         pcpm::core::telemetry::start_tracing();
     }
     let result = run_command(opts);
@@ -979,8 +982,9 @@ fn run_command(opts: Options) -> Result<(), String> {
                 }
             }
             eprintln!(
-                "# pool: {} workers spawned, {} jobs dispatched",
-                report.pool_workers_spawned, report.pool_jobs_dispatched
+                "# pool: {} threads, {} jobs dispatched",
+                engine.threads(),
+                report.pool_jobs_dispatched
             );
             print_top_ranks(&r.scores, opts.top);
         }

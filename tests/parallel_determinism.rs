@@ -12,18 +12,10 @@
 use pcpm::core::algebra::{MinLabel, PlusF32};
 use pcpm::core::engine::ScatterKind;
 use pcpm::prelude::*;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 mod common;
 use common::{format_matrix, thread_matrix};
-
-/// Runs this binary's tests one at a time. The `rayon::diagnostics`
-/// counters are process-global, so the pools one test builds would
-/// otherwise land in another test's spawn count.
-fn serial() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// Exact integer-valued input (as in kernel_agreement): every f32 sum of
 /// these is exactly representable, so reduction order cannot matter.
@@ -86,7 +78,6 @@ fn step_outputs(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Vec<f32
 
 #[test]
 fn step_bit_identical_across_thread_counts() {
-    let _serial = serial();
     let graphs = [
         pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 3)).unwrap(),
         pcpm::graph::gen::erdos_renyi(700, 5600, 11).unwrap(),
@@ -130,7 +121,6 @@ fn step_many_outputs(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Ve
 /// axis).
 #[test]
 fn step_many_bit_identical_across_thread_counts() {
-    let _serial = serial();
     let graphs = [
         pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 3)).unwrap(),
         pcpm::graph::gen::erdos_renyi(700, 5600, 11).unwrap(),
@@ -164,7 +154,6 @@ fn step_many_bit_identical_across_thread_counts() {
 
 #[test]
 fn baseline_runner_backends_bit_identical_across_thread_counts() {
-    let _serial = serial();
     use pcpm::baselines::{bvgas_engine, edge_centric_engine, grid_engine, pdpr_engine};
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 55)).unwrap();
     let x = int_x(g.num_nodes());
@@ -198,7 +187,6 @@ fn baseline_runner_backends_bit_identical_across_thread_counts() {
 
 #[test]
 fn integer_algebra_bit_identical_across_thread_counts() {
-    let _serial = serial();
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 6, 11)).unwrap();
     let xl: Vec<u32> = (0..g.num_nodes()).collect();
     let n = g.num_nodes() as usize;
@@ -229,7 +217,6 @@ fn integer_algebra_bit_identical_across_thread_counts() {
 /// on every bin format.
 #[test]
 fn streaming_repair_bit_identical_across_thread_counts() {
-    let _serial = serial();
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 77)).unwrap();
     let x = int_x(g.num_nodes());
     // Edit: drop the first edge of a few sources, insert a couple.
@@ -276,23 +263,25 @@ fn streaming_repair_bit_identical_across_thread_counts() {
 }
 
 /// Regression (the knob must never silently rot again): a 4-thread
-/// engine actually spawns 4 pool workers, and a step on a graph with
-/// multiple chunks actually dispatches jobs to them. Counters are
+/// engine runs on a pool of 4 spawned workers, and a step on a graph
+/// with multiple chunks actually dispatches jobs to them. Counters are
 /// monotonic and process-global, so concurrent tests only push them
 /// higher — the `>=` deltas stay sound.
 #[test]
 fn threads_knob_spawns_workers_and_dispatches_jobs() {
-    let _serial = serial();
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 5)).unwrap();
-    let spawned_before = rayon::diagnostics::workers_spawned();
     let mut engine = Engine::<PlusF32>::builder(&g)
         .partition_bytes(64 * 4)
         .threads(4)
         .build()
         .unwrap();
+    // The pool may have been built by an earlier 4-thread engine: the
+    // workers exist either way, spawned once for the process.
+    assert_eq!(engine.threads(), 4);
+    assert_eq!(pcpm::core::config::shared_pool(4).num_workers(), 4);
     assert!(
-        rayon::diagnostics::workers_spawned() >= spawned_before + 4,
-        "a 4-thread engine must spawn 4 pool workers"
+        rayon::diagnostics::workers_spawned() >= 4,
+        "a 4-thread engine must run on 4 spawned pool workers"
     );
     let jobs_before = rayon::diagnostics::jobs_dispatched();
     let x = int_x(g.num_nodes());
@@ -302,11 +291,12 @@ fn threads_knob_spawns_workers_and_dispatches_jobs() {
         rayon::diagnostics::jobs_dispatched() > jobs_before,
         "a step on a 4-thread engine must dispatch work to the pool"
     );
-    // Workers are spawned once per ENGINE, not once per call: 100
+    // Workers are spawned once per thread count, not once per call: 100
     // further steps on this engine spawn zero workers of their own. Any
     // spawns visible in this window come from concurrent tests building
-    // their engines (a small constant each), so a bound far below the
-    // old per-call churn (4 workers × 100 calls = 400) is sound.
+    // the pool for another thread count (a small constant each), so a
+    // bound far below the old per-call churn (4 workers × 100 calls =
+    // 400) is sound.
     let spawned_before_steps = rayon::diagnostics::workers_spawned();
     for _ in 0..100 {
         engine.step(&x, &mut y).unwrap();
@@ -327,7 +317,6 @@ fn threads_knob_spawns_workers_and_dispatches_jobs() {
 /// a generous spawn bound over 50 driver runs backs it end to end.
 #[test]
 fn baseline_drivers_reuse_one_shared_pool() {
-    let _serial = serial();
     let p1 = pcpm::core::config::shared_pool(3);
     let p2 = pcpm::core::config::shared_pool(3);
     assert!(
@@ -358,5 +347,33 @@ fn baseline_drivers_reuse_one_shared_pool() {
     assert!(
         churn < 100,
         "driver pool churn: {churn} workers spawned across 50 driver runs"
+    );
+}
+
+/// Regression for per-engine pool churn: every engine with a thread
+/// count runs on the one shared pool for that count, so building (and
+/// dropping) 50 four-thread engines spawns no workers once that pool
+/// exists. Engines used to spawn (and join) a pool each: 200 workers
+/// here. The bound leaves room for the pools concurrent tests build for
+/// the other thread counts of the matrix (1 + 2 + 3 + 8 workers); the
+/// global pool and the 4-thread pool are built before the window opens.
+#[test]
+fn engines_share_one_pool_per_thread_count() {
+    use rayon::prelude::*;
+    let g = pcpm::graph::gen::erdos_renyi(200, 1200, 31).unwrap();
+    let _: u64 = (0u64..10_000).into_par_iter().sum();
+    let _ = pcpm::core::config::shared_pool(4);
+    let before = rayon::diagnostics::workers_spawned();
+    for _ in 0..50 {
+        Engine::<PlusF32>::builder(&g)
+            .partition_bytes(64 * 4)
+            .threads(4)
+            .build()
+            .unwrap();
+    }
+    let spawned = rayon::diagnostics::workers_spawned() - before;
+    assert!(
+        spawned < 20,
+        "engine pool churn: {spawned} workers spawned building 50 engines"
     );
 }
